@@ -5,27 +5,6 @@
 
 namespace kspr {
 
-bool Dataset::Dominates(RecordId a, RecordId b) const {
-  const double* ra = Row(a);
-  const double* rb = Row(b);
-  bool strict = false;
-  for (int i = 0; i < dim_; ++i) {
-    if (ra[i] < rb[i]) return false;
-    if (ra[i] > rb[i]) strict = true;
-  }
-  return strict;
-}
-
-bool Dataset::Dominates(const Vec& a, const Vec& b) {
-  assert(a.dim == b.dim);
-  bool strict = false;
-  for (int i = 0; i < a.dim; ++i) {
-    if (a.v[i] < b.v[i]) return false;
-    if (a.v[i] > b.v[i]) strict = true;
-  }
-  return strict;
-}
-
 void Dataset::NormalizeToUnitBox() {
   if (num_live_ == 0) return;
   const RecordId n = size();

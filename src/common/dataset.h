@@ -148,12 +148,27 @@ class Dataset {
     return s;
   }
 
-  /// True iff record a dominates record b: a >= b in all dims, > in one.
-  /// (Larger is better.)
-  bool Dominates(RecordId a, RecordId b) const;
+  /// Dominance between raw points of `dim` attributes (e.g. two Row()s):
+  /// a >= b in all dims, > in one. (Larger is better.)
+  static bool Dominates(const double* a, const double* b, int dim) {
+    bool strict = false;
+    for (int i = 0; i < dim; ++i) {
+      if (a[i] < b[i]) return false;
+      if (a[i] > b[i]) strict = true;
+    }
+    return strict;
+  }
+
+  /// True iff record a dominates record b.
+  bool Dominates(RecordId a, RecordId b) const {
+    return Dominates(Row(a), Row(b), dim_);
+  }
 
   /// Dominance between arbitrary vectors with this dataset's convention.
-  static bool Dominates(const Vec& a, const Vec& b);
+  static bool Dominates(const Vec& a, const Vec& b) {
+    assert(a.dim == b.dim);
+    return Dominates(a.v.data(), b.v.data(), a.dim);
+  }
 
   /// Rescales every attribute linearly to [0, 1] (per-dimension min/max).
   /// No-op on an empty dataset.

@@ -54,10 +54,16 @@ struct Traversal {
     return Decision::kUnknown;
   }
 
-  // Fast (O(d)) score interval of a box [lo, hi] in data space.
-  Decision FastDecide(const Vec& lo, const Vec& hi) const {
+  // Fast (O(d)) score interval of a box [lo, hi] in data space, given as
+  // d coordinates per corner; a record passes its Dataset row as both.
+  // The sums are Vec::Dot's, term for term.
+  Decision FastDecide(const double* lo, const double* hi) const {
     if (!use_fast) return Decision::kUnknown;
-    return DecideInterval(w_lo.Dot(lo), w_hi.Dot(hi));
+    double s_lo = 0.0;
+    double s_hi = 0.0;
+    for (int i = 0; i < w_lo.dim; ++i) s_lo += w_lo.v[i] * lo[i];
+    for (int i = 0; i < w_hi.dim; ++i) s_hi += w_hi.v[i] * hi[i];
+    return DecideInterval(s_lo, s_hi);
   }
 
   // True when the entry is more likely to resolve as kBelow than kAbove,
@@ -142,7 +148,7 @@ struct Traversal {
     }
     return false;
   }
-  bool PivotDominated(const Vec& r) const {
+  bool PivotDominated(const double* r) const {
     if (ctx->pivots == nullptr) return false;
     for (const Vec& piv : *ctx->pivots) {
       if (WeaklyDominates(piv, r)) return true;
@@ -150,17 +156,22 @@ struct Traversal {
     return false;
   }
 
+  // Both filters below only ever skip an entry, and a kBelow verdict
+  // applies nothing, so the cheap fast interval runs first and the pivot
+  // scan only sees entries it does not already rule out.
   void VisitNode(int node_id) {
     if (bounds.lb > k) return;  // cell will be pruned regardless
     const RTree::Node& node = ctx->tree->Fetch(node_id);
     if (node.leaf) {
       for (RecordId rid : node.items) {
         if (rid == ctx->focal_id) continue;
-        const Vec r = ctx->data->Get(rid);
-        if (PivotDominated(r)) continue;  // kBelow, no LP needed
+        const double* r = ctx->data->Row(rid);
         Decision d = FastDecide(r, r);
+        if (d == Decision::kBelow) continue;
+        if (PivotDominated(r)) continue;  // kBelow, no LP needed
         if (d == Decision::kUnknown && RefinementPays()) {
-          d = TightDecide(r, r);
+          const Vec rec = ctx->data->Get(rid);
+          d = TightDecide(rec, rec);
         }
         // A record whose interval merely overlaps p's may or may not score
         // above p inside the cell: advance only the upper bound.
@@ -172,8 +183,9 @@ struct Traversal {
     for (int c : node.items) {
       if (bounds.lb > k) return;
       const RTree::Node& child = ctx->tree->Fetch(c);
+      Decision d = FastDecide(child.mbr.lo.v.data(), child.mbr.hi.v.data());
+      if (d == Decision::kBelow) continue;
       if (PivotDominated(child.mbr)) continue;  // kBelow, no LP needed
-      Decision d = FastDecide(child.mbr.lo, child.mbr.hi);
       if (d == Decision::kUnknown && ctx->mode != BoundMode::kRecord &&
           RefinementPays()) {
         d = TightDecide(child.mbr.lo, child.mbr.hi);

@@ -40,7 +40,8 @@ class ProgressiveEngine {
         prep_(PrepareQuery(data, p, focal_id, options.k)),
         store_(&data, p, space),
         cell_tree_(&store_, prep_.k_effective, &options, &result_.stats),
-        dg_(&data) {
+        dg_(&data),
+        processed_(static_cast<size_t>(data.size()), 0) {
     traversal_.executor = executor_;
     traversal_.min_cells_per_task = options.parallel.min_cells_per_task;
     defer_finalize_ = executor_ != nullptr && options.finalize_geometry;
@@ -69,7 +70,7 @@ class ProgressiveEngine {
       for (RecordId rid : batch) {
         dg_.Add(rid);
         cell_tree_.InsertHyperplane(rid, &dg_.Dominators(rid), par);
-        processed_.insert(rid);
+        processed_[rid] = 1;
         ++result_.stats.processed_records;
         if (lookahead_ && options_.lookahead_per_split) {
           LookaheadOnLeaves(cell_tree_.last_new_leaves());
@@ -113,7 +114,7 @@ class ProgressiveEngine {
   std::vector<RecordId> FilterBatch(const std::vector<RecordId>& candidates) {
     std::vector<RecordId> batch;
     for (RecordId rid : candidates) {
-      if (!prep_.skip[rid] && !processed_.contains(rid)) batch.push_back(rid);
+      if (!prep_.skip[rid] && !processed_[rid]) batch.push_back(rid);
     }
     return batch;
   }
@@ -254,10 +255,10 @@ class ProgressiveEngine {
     auto cached = unreportable_witness_.find(leaf.node_id);
     if (cached != unreportable_witness_.end()) {
       const RecordId w = cached->second;
-      if (!processed_.contains(w)) {
+      if (!processed_[w]) {
         bool dominated = false;
         for (const Vec& piv : pivots) {
-          if (WeaklyDominates(piv, data_.Get(w))) {
+          if (WeaklyDominates(piv, data_.Row(w))) {
             dominated = true;
             break;
           }
@@ -328,7 +329,7 @@ class ProgressiveEngine {
       // to the affecting records found by the reportability checks. This
       // trades Invariant 1 (an efficiency device) for guaranteed progress.
       for (RecordId rid : fallback) {
-        if (rid != kInvalidRecord && !processed_.contains(rid) &&
+        if (rid != kInvalidRecord && !processed_[rid] &&
             !prep_.skip[rid]) {
           batch.push_back(rid);
         }
@@ -350,7 +351,7 @@ class ProgressiveEngine {
   CellTree cell_tree_;
   DominanceGraph dg_;
   BoundsContext bounds_ctx_;
-  std::unordered_set<RecordId> processed_;
+  std::vector<char> processed_;  // by record id: inserted into the tree
   // leaf node id -> last known unprocessed record affecting it.
   std::unordered_map<int, RecordId> unreportable_witness_;
 };

@@ -24,7 +24,10 @@ void PushChildren(const Dataset& data, const RTree& tree,
       e.is_record = true;
       e.id = -1;
       e.rid = rid;
-      e.key = data.Get(rid).Sum();
+      // Vec::Sum over the row, in the same order.
+      const double* row = data.Row(rid);
+      e.key = 0.0;
+      for (int i = 0; i < data.dim(); ++i) e.key += row[i];
       pq->push(e);
     }
   } else {
@@ -45,9 +48,10 @@ std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
   std::vector<RecordId> sky;
   if (tree.empty()) return sky;
 
-  auto dominated = [&](const Vec& v) {
+  const int d = data.dim();
+  auto dominated = [&](const double* v) {
     for (RecordId s : sky) {
-      if (Dataset::Dominates(data.Get(s), v)) return true;
+      if (Dataset::Dominates(data.Row(s), v, d)) return true;
     }
     return false;
   };
@@ -64,13 +68,12 @@ std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
     HeapEntry e = pq.top();
     pq.pop();
     if (e.is_record) {
-      const Vec v = data.Get(e.rid);
-      if (dominated(v)) continue;
+      if (dominated(data.Row(e.rid))) continue;
       if (exclude != nullptr && exclude->contains(e.rid)) continue;
       sky.push_back(e.rid);
     } else {
       const RTree::Node& node = tree.Fetch(e.id);
-      if (dominated(node.mbr.hi)) continue;
+      if (dominated(node.mbr.hi.v.data())) continue;
       PushChildren(data, tree, node, &pq);
     }
   }
@@ -81,10 +84,11 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k) {
   std::vector<RecordId> band;
   if (tree.empty()) return band;
 
-  auto dominator_count = [&](const Vec& v) {
+  const int d = data.dim();
+  auto dominator_count = [&](const double* v) {
     int cnt = 0;
     for (RecordId s : band) {
-      if (Dataset::Dominates(data.Get(s), v) && ++cnt >= k) break;
+      if (Dataset::Dominates(data.Row(s), v, d) && ++cnt >= k) break;
     }
     return cnt;
   };
@@ -101,10 +105,10 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k) {
     HeapEntry e = pq.top();
     pq.pop();
     if (e.is_record) {
-      if (dominator_count(data.Get(e.rid)) < k) band.push_back(e.rid);
+      if (dominator_count(data.Row(e.rid)) < k) band.push_back(e.rid);
     } else {
       const RTree::Node& node = tree.Fetch(e.id);
-      if (dominator_count(node.mbr.hi) >= k) continue;
+      if (dominator_count(node.mbr.hi.v.data()) >= k) continue;
       PushChildren(data, tree, node, &pq);
     }
   }
@@ -121,7 +125,7 @@ int CountDominators(const Dataset& data, RecordId r) {
 
 bool ExistsUnprocessedNotDominated(
     const Dataset& data, const RTree& tree, const std::vector<Vec>& pivots,
-    const std::unordered_set<RecordId>& processed,
+    const std::vector<char>& processed,
     const std::vector<char>* skip, RecordId* witness) {
   if (tree.empty()) return false;
   std::vector<int> stack = {tree.root()};
@@ -140,9 +144,9 @@ bool ExistsUnprocessedNotDominated(
     if (pruned) continue;
     if (node.leaf) {
       for (RecordId rid : node.items) {
-        if (processed.contains(rid)) continue;
+        if (processed[rid]) continue;
         if (skip != nullptr && (*skip)[rid]) continue;
-        const Vec v = data.Get(rid);
+        const double* v = data.Row(rid);
         bool dom = false;
         for (const Vec& piv : pivots) {
           if (WeaklyDominates(piv, v)) {

@@ -30,12 +30,13 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k);
 int CountDominators(const Dataset& data, RecordId r);
 
 /// Lemma-5 reportability check for P-CTA: returns true iff some record of D
-/// outside `processed` (and not flagged in `skip`, which may be null) is
-/// NOT weakly dominated by any pivot in `pivots`. When true and `witness`
-/// is non-null, one such record id is stored there.
+/// not flagged in `processed` (and not flagged in `skip`, which may be
+/// null) is NOT weakly dominated by any pivot in `pivots`. Both flag arrays
+/// are indexed by record id and cover every record of D. When true and
+/// `witness` is non-null, one such record id is stored there.
 bool ExistsUnprocessedNotDominated(const Dataset& data, const RTree& tree,
                                    const std::vector<Vec>& pivots,
-                                   const std::unordered_set<RecordId>& processed,
+                                   const std::vector<char>& processed,
                                    const std::vector<char>* skip,
                                    RecordId* witness);
 

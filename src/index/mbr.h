@@ -62,12 +62,18 @@ struct Mbr {
   }
 };
 
-/// True iff a >= b componentwise (weak dominance of point b by point a).
-inline bool WeaklyDominates(const Vec& a, const Vec& b) {
+/// True iff a >= b componentwise over a's dimensions (weak dominance of
+/// the raw point b, e.g. a Dataset row, by point a).
+inline bool WeaklyDominates(const Vec& a, const double* b) {
   for (int i = 0; i < a.dim; ++i) {
-    if (a.v[i] < b.v[i]) return false;
+    if (a.v[i] < b[i]) return false;
   }
   return true;
+}
+
+/// True iff a >= b componentwise (weak dominance of point b by point a).
+inline bool WeaklyDominates(const Vec& a, const Vec& b) {
+  return WeaklyDominates(a, b.v.data());
 }
 
 }  // namespace kspr

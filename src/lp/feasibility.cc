@@ -361,7 +361,7 @@ FeasibilityResult CellLpContext::ReadBall(const lp::WarmTableau& tab) const {
   r.feasible = r.radius > tol::kInterior;
   if (r.feasible) {
     r.witness = Vec(dim_);
-    for (int j = 0; j < dim_; ++j) r.witness.v[j] = tab.VarValue(j);
+    tab.ReadVars(dim_, r.witness.v.data());
   }
   return r;
 }
@@ -489,7 +489,7 @@ BoundResult CellBoundSolver::SolveObjective(const Vec& obj, double obj_const,
       r.value = (maximize ? tab_.ObjectiveValue() : -tab_.ObjectiveValue()) +
                 obj_const;
       r.arg = Vec(dim_);
-      for (int j = 0; j < dim_; ++j) r.arg.v[j] = tab_.VarValue(j);
+      tab_.ReadVars(dim_, r.arg.v.data());
       return r;
     }
     warm_ = false;  // deterministic cold fallback from here on

@@ -1,5 +1,6 @@
 #include "lp/warm_tableau.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -15,75 +16,69 @@ constexpr int kMaxIter = 20000;
 
 }  // namespace
 
-void WarmTableau::EnsureCapacity(int rows, int cols) {
-  // +1 for the rhs slot at stride_ - 1.
-  if (cols + 1 > stride_) {
-    const int new_stride = std::max(2 * stride_, cols + 9);
-    std::vector<double> wide(static_cast<size_t>(rows) * new_stride, 0.0);
-    if (stride_ > 0 && !t_.empty()) {
-      for (int i = 0; i <= m_; ++i) {
-        const double* src = RowConst(i);
-        double* dst = &wide[static_cast<size_t>(i) * new_stride];
-        std::memcpy(dst, src, sizeof(double) * static_cast<size_t>(cols_));
-        dst[new_stride - 1] = src[stride_ - 1];  // rhs moves with the stride
-      }
-    }
-    t_ = std::move(wide);
-    stride_ = new_stride;
-  }
-  const size_t need = static_cast<size_t>(rows) * stride_;
-  if (t_.size() < need) t_.resize(need, 0.0);
-  if (static_cast<int>(is_basic_.size()) < cols) is_basic_.resize(cols, 0);
-}
-
-void WarmTableau::SetBasis(int row, int col) {
-  if (basis_[row] >= 0) is_basic_[basis_[row]] = 0;
-  basis_[row] = col;
-  is_basic_[col] = 1;
-}
-
-void WarmTableau::Pivot(int row, int col) {
+void WarmTableau::Pivot(int row, int slot) {
+  const int w = width();
   double* pr = Row(row);
-  const double piv = pr[col];
+  const double piv = pr[slot];
   assert(std::abs(piv) > tol::kPivot);
   const double inv = 1.0 / piv;
-  for (int j = 0; j < cols_; ++j) pr[j] *= inv;
-  pr[stride_ - 1] *= inv;
-  pr[col] = 1.0;
-  for (int i = 0; i <= m_; ++i) {  // includes the objective row at m_
+  for (int j = 0; j < w; ++j) pr[j] *= inv;
+  // The leaving variable's unit entry scales to inv and takes the slot.
+  pr[slot] = inv;
+  for (int i = -1; i < m_; ++i) {  // Row(-1) is the objective row
     if (i == row) continue;
     double* ri = Row(i);
-    const double f = ri[col];
+    const double f = ri[slot];
     if (f == 0.0) continue;
-    for (int j = 0; j < cols_; ++j) ri[j] -= f * pr[j];
-    ri[stride_ - 1] -= f * pr[stride_ - 1];
-    ri[col] = 0.0;
+    // The leaving column is zero off its row: 0 - f * inv.
+    ri[slot] = 0.0;
+    for (int j = 0; j < w; ++j) ri[j] -= f * pr[j];
   }
-  SetBasis(row, col);
+
+  const int entering = col_var_[slot];
+  const int leaving = basis_[row];
+  basis_[row] = entering;
+  col_var_[slot] = leaving;
+  // Re-file the slot under the leaving variable's index.
+  int pos = static_cast<int>(std::find(order_.begin(), order_.end(), slot) -
+                             order_.begin());
+  while (pos > 0 && col_var_[order_[pos - 1]] > leaving) {
+    order_[pos] = order_[pos - 1];
+    --pos;
+  }
+  while (pos + 1 < n_ && col_var_[order_[pos + 1]] < leaving) {
+    order_[pos] = order_[pos + 1];
+    ++pos;
+  }
+  order_[pos] = slot;
 }
 
 void WarmTableau::LoadObjective(const double* obj) {
-  double* z = Row(m_);
-  for (int j = 0; j < cols_; ++j) z[j] = j < n_ ? -obj[j] : 0.0;
-  z[stride_ - 1] = 0.0;
+  const int w = width();
+  double* z = Obj();
+  for (int s = 0; s < n_; ++s) {
+    const int v = col_var_[s];
+    z[s] = v < n_ ? -obj[v] : 0.0;
+  }
+  z[n_] = 0.0;
   for (int i = 0; i < m_; ++i) {
     const int b = basis_[i];
     const double cb = b < n_ ? obj[b] : 0.0;
     if (cb == 0.0) continue;
     const double* row = RowConst(i);
-    for (int j = 0; j < cols_; ++j) z[j] += cb * row[j];
-    z[stride_ - 1] += cb * row[stride_ - 1];
+    for (int j = 0; j < w; ++j) z[j] += cb * row[j];
   }
 }
 
 Status WarmTableau::PrimalOptimize() {
-  double* z = Row(m_);
+  const double* z = Obj();
   for (int iter = 0; iter < kMaxIter; ++iter) {
-    // Entering column: Bland (smallest index with negative reduced cost).
+    // Entering column: Bland (smallest variable with negative reduced
+    // cost).
     int entering = -1;
-    for (int j = 0; j < cols_; ++j) {
-      if (!is_basic_[j] && z[j] < -tol::kPivot) {
-        entering = j;
+    for (int s : order_) {
+      if (z[s] < -tol::kPivot) {
+        entering = s;
         break;
       }
     }
@@ -92,9 +87,10 @@ Status WarmTableau::PrimalOptimize() {
     int leaving = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
     for (int i = 0; i < m_; ++i) {
-      const double tij = RowConst(i)[entering];
+      const double* ri = RowConst(i);
+      const double tij = ri[entering];
       if (tij > tol::kPivot) {
-        const double ratio = RowConst(i)[stride_ - 1] / tij;
+        const double ratio = ri[n_] / tij;
         if (ratio < best_ratio - tol::kPivot ||
             (ratio < best_ratio + tol::kPivot &&
              (leaving < 0 || basis_[i] < basis_[leaving]))) {
@@ -115,7 +111,7 @@ Status WarmTableau::DualReoptimize() {
     // basic variable has the smallest index.
     int leaving = -1;
     for (int i = 0; i < m_; ++i) {
-      if (RowConst(i)[stride_ - 1] < -tol::kPivot &&
+      if (RowConst(i)[n_] < -tol::kPivot &&
           (leaving < 0 || basis_[i] < basis_[leaving])) {
         leaving = i;
       }
@@ -123,19 +119,18 @@ Status WarmTableau::DualReoptimize() {
     if (leaving < 0) return Status::kOptimal;
 
     // Entering column: minimise z_j / -t_rj over t_rj < 0 (keeps the
-    // objective row dual feasible); ties break to the smallest index.
+    // objective row dual feasible); ties break to the smallest variable.
     const double* lr = RowConst(leaving);
-    const double* z = RowConst(m_);
+    const double* z = Obj();
     int entering = -1;
     double best_ratio = std::numeric_limits<double>::infinity();
-    for (int j = 0; j < cols_; ++j) {
-      if (is_basic_[j]) continue;
-      const double trj = lr[j];
+    for (int s : order_) {
+      const double trj = lr[s];
       if (trj < -tol::kPivot) {
-        const double ratio = z[j] / -trj;
+        const double ratio = z[s] / -trj;
         if (ratio < best_ratio - tol::kPivot) {
           best_ratio = ratio;
-          entering = j;
+          entering = s;
         }
       }
     }
@@ -147,62 +142,52 @@ Status WarmTableau::DualReoptimize() {
 
 Status WarmTableau::InitFromFeasibleRows(int num_vars, const double* obj,
                                          const ConstraintBuffer& rows) {
-  // Discard old contents before growing so a re-stride never copies stale
-  // rows that the previous (possibly larger) tableau left behind.
-  m_ = 0;
-  cols_ = 0;
   n_ = num_vars;
-  EnsureCapacity(rows.size() + 1, n_ + rows.size());
   m_ = rows.size();
-  cols_ = n_ + m_;
-  basis_.assign(m_, -1);
-  std::fill(is_basic_.begin(), is_basic_.end(), 0);
-  for (int i = 0; i <= m_; ++i) {
-    double* row = Row(i);
-    std::memset(row, 0, sizeof(double) * static_cast<size_t>(stride_));
-  }
+  t_.assign(static_cast<size_t>(m_ + 1) * static_cast<size_t>(width()), 0.0);
+  // Structural variables start non-basic in slot order; slack i is basic
+  // in row i.
+  col_var_.resize(static_cast<size_t>(n_));
+  order_.resize(static_cast<size_t>(n_));
+  for (int s = 0; s < n_; ++s) col_var_[s] = order_[s] = s;
+  basis_.resize(static_cast<size_t>(m_));
   const int len = std::min(n_, rows.num_vars());
   for (int i = 0; i < m_; ++i) {
     assert(rows.rhs(i) >= 0.0);
     double* row = Row(i);
     std::memcpy(row, rows.Row(i), sizeof(double) * static_cast<size_t>(len));
-    row[n_ + i] = 1.0;  // slack
-    row[stride_ - 1] = rows.rhs(i);
+    row[n_] = rows.rhs(i);
     basis_[i] = n_ + i;
-    is_basic_[n_ + i] = 1;
   }
   LoadObjective(obj);
   return PrimalOptimize();
 }
 
 Status WarmTableau::AddRowReoptimize(const double* a, int len, double b) {
-  EnsureCapacity(m_ + 2, cols_ + 1);
-  // The objective row moves from slot m_ to m_ + 1.
-  std::memcpy(Row(m_ + 1), RowConst(m_),
-              sizeof(double) * static_cast<size_t>(stride_));
-  double* row = Row(m_);
-  std::memset(row, 0, sizeof(double) * static_cast<size_t>(stride_));
   assert(len <= n_);
-  std::memcpy(row, a, sizeof(double) * static_cast<size_t>(len));
-  row[stride_ - 1] = b;
+  const int w = width();
+  t_.resize(static_cast<size_t>(m_ + 2) * static_cast<size_t>(w));
+  double* row = Row(m_);
+  for (int s = 0; s < n_; ++s) {
+    const int v = col_var_[s];
+    row[s] = v < len ? a[v] : 0.0;
+  }
+  row[n_] = b;
 
   // Express the new row in the current basis by eliminating every basic
-  // variable (the new slack column cols_ stays untouched: existing rows
-  // are zero there).
-  const int new_col = cols_;
-  ++m_;
-  ++cols_;
-  for (int i = 0; i < m_ - 1; ++i) {
-    const double f = row[basis_[i]];
+  // variable. Each elimination leaves the other basic coefficients of the
+  // new row unchanged (their columns are zero off their own rows), so the
+  // factor for row i is simply the appended coefficient of basis_[i].
+  for (int i = 0; i < m_; ++i) {
+    const int bv = basis_[i];
+    const double f = bv < len ? a[bv] : 0.0;
     if (f == 0.0) continue;
     const double* ri = RowConst(i);
-    for (int j = 0; j < cols_; ++j) row[j] -= f * ri[j];
-    row[stride_ - 1] -= f * ri[stride_ - 1];
-    row[basis_[i]] = 0.0;
+    for (int j = 0; j < w; ++j) row[j] -= f * ri[j];
   }
-  row[new_col] = 1.0;
-  basis_.push_back(new_col);
-  is_basic_[new_col] = 1;
+  // The new slack (variable n_ + m_) is basic in the new row.
+  basis_.push_back(n_ + m_);
+  ++m_;
   // z coefficient of the new slack is zero, so dual feasibility is intact;
   // a dual pass restores primal feasibility (or proves there is none).
   return DualReoptimize();
@@ -215,20 +200,26 @@ Status WarmTableau::SetObjectiveReoptimize(const double* obj) {
 
 double WarmTableau::VarValue(int var) const {
   for (int i = 0; i < m_; ++i) {
-    if (basis_[i] == var) return RowConst(i)[stride_ - 1];
+    if (basis_[i] == var) return RowConst(i)[n_];
   }
   return 0.0;
+}
+
+void WarmTableau::ReadVars(int count, double* x) const {
+  assert(count <= n_);
+  std::fill(x, x + count, 0.0);
+  for (int i = 0; i < m_; ++i) {
+    if (basis_[i] < count) x[basis_[i]] = RowConst(i)[n_];
+  }
 }
 
 void WarmTableau::CopyFrom(const WarmTableau& o) {
   n_ = o.n_;
   m_ = o.m_;
-  cols_ = o.cols_;
-  stride_ = o.stride_;
-  const size_t used = static_cast<size_t>(o.m_ + 1) * o.stride_;
-  t_.assign(o.t_.begin(), o.t_.begin() + static_cast<long>(used));
+  t_.assign(o.t_.begin(), o.t_.end());
   basis_.assign(o.basis_.begin(), o.basis_.end());
-  is_basic_.assign(o.is_basic_.begin(), o.is_basic_.end());
+  col_var_.assign(o.col_var_.begin(), o.col_var_.end());
+  order_.assign(o.order_.begin(), o.order_.end());
 }
 
 }  // namespace kspr::lp

@@ -209,12 +209,12 @@ TEST(ReportabilityCheck, FindsAffectingRecord) {
   data.Add(Vec{0.5, 0.05});  // 1: dominated by pivot
   data.Add(Vec{0.2, 0.8});   // 2: not dominated by pivot
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
+  std::vector<char> processed = {1, 0, 0};
   RecordId witness = kInvalidRecord;
   EXPECT_TRUE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)}, processed,
                                             nullptr, &witness));
   EXPECT_EQ(witness, 2);
-  processed.insert(2);
+  processed[2] = 1;
   EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
                                              processed, nullptr, &witness));
 }
@@ -224,7 +224,7 @@ TEST(ReportabilityCheck, SkipFlagsTreatedAsProcessed) {
   data.Add(Vec{0.9, 0.1});
   data.Add(Vec{0.2, 0.8});
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
+  std::vector<char> processed = {1, 0};
   std::vector<char> skip = {0, 1};
   EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
                                              processed, &skip, nullptr));
@@ -236,7 +236,7 @@ TEST(ReportabilityCheck, WeakDominanceCounts) {
   data.Add(Vec{0.5, 0.5});
   data.Add(Vec{0.5, 0.5});
   RTree t = RTree::BulkLoad(data, 4, 4);
-  std::unordered_set<RecordId> processed = {0};
+  std::vector<char> processed = {1, 0};
   EXPECT_FALSE(ExistsUnprocessedNotDominated(data, t, {data.Get(0)},
                                              processed, nullptr, nullptr));
 }

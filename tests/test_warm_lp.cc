@@ -3,8 +3,14 @@
 // (CellLpContext / CellBoundSolver) must agree with the cold two-phase
 // solver on feasibility and bounds, pops must restore solver state
 // bitwise, and fork copies must reproduce the original's results exactly.
+// A differential suite drives the condensed lp::WarmTableau and the dense
+// reference tableau (reference_dense_tableau.h) through identical random
+// operation sequences and requires bitwise-equal answers after every step.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +20,7 @@
 #include "geom/hyperplane.h"
 #include "lp/feasibility.h"
 #include "lp/warm_tableau.h"
+#include "reference_dense_tableau.h"
 
 namespace kspr {
 namespace {
@@ -331,6 +338,253 @@ TEST(WarmTableauTest, ObjectiveReloadReusesBasis) {
   EXPECT_NEAR(tab.VarValue(0), 0.0, 1e-12);
   EXPECT_NEAR(tab.VarValue(1), 1.0, 1e-12);
 }
+
+// ---------------------------------------------------------------------------
+// Differential suite: condensed kernel vs the dense reference tableau.
+
+// Drives a condensed and a dense tableau in lock step. Every operation is
+// applied to both; Check() then requires the same status and bit-identical
+// objective and variable values (slacks included).
+class KernelPair {
+ public:
+  lp::Status Init(int num_vars, const std::vector<double>& obj,
+                  const lp::ConstraintBuffer& rows) {
+    return Both(cond_.InitFromFeasibleRows(num_vars, obj.data(), rows),
+                dense_.InitFromFeasibleRows(num_vars, obj.data(), rows));
+  }
+  lp::Status AddRow(const std::vector<double>& a, double b) {
+    const int len = static_cast<int>(a.size());
+    return Both(cond_.AddRowReoptimize(a.data(), len, b),
+                dense_.AddRowReoptimize(a.data(), len, b));
+  }
+  lp::Status SetObjective(const std::vector<double>& obj) {
+    return Both(cond_.SetObjectiveReoptimize(obj.data()),
+                dense_.SetObjectiveReoptimize(obj.data()));
+  }
+  void CopyFrom(const KernelPair& o) {
+    cond_.CopyFrom(o.cond_);
+    dense_.CopyFrom(o.dense_);
+  }
+
+  // Bitwise agreement of everything the kernel exposes.
+  void Check(const std::string& where) const {
+    ASSERT_EQ(cond_.num_rows(), dense_.num_rows()) << where;
+    ASSERT_EQ(cond_.num_vars(), dense_.num_vars()) << where;
+    EXPECT_EQ(Bits(cond_.ObjectiveValue()), Bits(dense_.ObjectiveValue()))
+        << where << ": objective " << cond_.ObjectiveValue() << " vs "
+        << dense_.ObjectiveValue();
+    const int n = cond_.num_vars();
+    std::vector<double> read(static_cast<size_t>(n));
+    cond_.ReadVars(n, read.data());
+    for (int v = 0; v < n + cond_.num_rows(); ++v) {
+      EXPECT_EQ(Bits(cond_.VarValue(v)), Bits(dense_.VarValue(v)))
+          << where << ": var " << v;
+      if (v < n) {
+        EXPECT_EQ(Bits(read[v]), Bits(dense_.VarValue(v)))
+            << where << ": ReadVars " << v;
+      }
+    }
+  }
+
+ private:
+  static uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+  static lp::Status Both(lp::Status a, lp::Status b) {
+    EXPECT_EQ(a, b);
+    return a;
+  }
+
+  lp::WarmTableau cond_;
+  lp::reference::DenseWarmTableau dense_;
+};
+
+struct DiffCase {
+  int dim;
+  bool ball;  // ball LP (dim + 2 vars) or closed bound LP (dim vars)
+  Space space;
+  uint64_t seed;
+};
+
+class KernelDifferential : public ::testing::TestWithParam<DiffCase> {};
+
+// Random row over `n` structural variables in the population the callers
+// feed the kernel, plus the degenerate shapes: zero-norm rows, exact copies
+// of earlier rows, near-copies a few ulps away, tiny coefficients around
+// the pivot tolerance and small-integer rows that produce exact ratio ties.
+std::vector<double> RandomRow(int dim, bool ball, int n,
+                              const std::vector<std::vector<double>>& seen,
+                              double* b, Rng* rng) {
+  std::vector<double> a(static_cast<size_t>(n), 0.0);
+  const int kind = static_cast<int>(rng->UniformInt(10));
+  if (kind == 0) {  // zero-norm row
+    *b = rng->Uniform() < 0.5 ? rng->Uniform(-1.0, 1.0) : 0.0;
+    return a;
+  }
+  if ((kind == 1 || kind == 2) && !seen.empty()) {  // copy / near-copy
+    a = seen[rng->UniformInt(seen.size())];
+    *b = a.back();
+    a.pop_back();
+    if (kind == 2) {
+      for (double& x : a) x *= 1.0 + 1e-14 * rng->Uniform(-1.0, 1.0);
+      *b += 1e-13 * rng->Uniform(-1.0, 1.0);
+    }
+    return a;
+  }
+  for (int j = 0; j < dim; ++j) {
+    if (kind == 3) {
+      a[j] = static_cast<double>(rng->UniformInt(5)) - 2.0;
+    } else if (kind == 4) {
+      a[j] = 1e-11 * rng->Uniform(-2.0, 2.0);
+    } else {
+      a[j] = rng->Uniform(-1.0, 1.0);
+    }
+  }
+  *b = kind == 3 ? static_cast<double>(rng->UniformInt(3)) - 1.0
+                 : rng->Uniform(-0.3, 0.6);
+  if (ball) {
+    double s = 0.0;
+    for (int j = 0; j < dim; ++j) s += a[j] * a[j];
+    a[dim] = std::sqrt(s);
+    a[dim + 1] = -a[dim];
+  }
+  return a;
+}
+
+std::vector<double> RandomObjective(int dim, bool ball, int n, Rng* rng) {
+  std::vector<double> obj(static_cast<size_t>(n), 0.0);
+  for (int j = 0; j < dim; ++j) {
+    obj[j] = rng->UniformInt(4) == 0 ? 0.0 : rng->Uniform(-1.0, 1.0);
+  }
+  if (ball) {  // keep the radius term so the optimum stays bounded
+    obj[dim] = 1.0;
+    obj[dim + 1] = -1.0;
+  }
+  return obj;
+}
+
+TEST_P(KernelDifferential, RandomOpSequencesMatchDenseBitwise) {
+  const DiffCase& dc = GetParam();
+  Rng rng(dc.seed);
+  const int n = dc.ball ? dc.dim + 2 : dc.dim;
+
+  // Space-boundary rows: non-negative rhs, a feasible slack basis.
+  lp::ConstraintBuffer base;
+  base.Reset(n);
+  std::vector<std::vector<double>> seen;
+  auto add_base = [&](std::vector<double> a, double b) {
+    base.Add(a.data(), n, b);
+    a.push_back(b);
+    seen.push_back(std::move(a));
+  };
+  for (int j = 0; j < dc.dim; ++j) {
+    std::vector<double> a(static_cast<size_t>(n), 0.0);
+    a[j] = -1.0;
+    if (dc.ball) {
+      a[dc.dim] = 1.0;
+      a[dc.dim + 1] = -1.0;
+    }
+    add_base(a, 0.0);
+  }
+  if (dc.space == Space::kTransformed) {
+    std::vector<double> a(static_cast<size_t>(n), 1.0);
+    if (dc.ball) {
+      a[dc.dim] = std::sqrt(static_cast<double>(dc.dim));
+      a[dc.dim + 1] = -a[dc.dim];
+    }
+    add_base(a, 1.0);
+  } else {
+    for (int j = 0; j < dc.dim; ++j) {
+      std::vector<double> a(static_cast<size_t>(n), 0.0);
+      a[j] = 1.0;
+      if (dc.ball) {
+      a[dc.dim] = 1.0;
+      a[dc.dim + 1] = -1.0;
+    }
+      add_base(a, 1.0);
+    }
+  }
+
+  KernelPair cur;
+  std::vector<double> obj(static_cast<size_t>(n), 0.0);
+  if (dc.ball) {
+    obj[dc.dim] = 1.0;
+    obj[dc.dim + 1] = -1.0;
+  }
+  ASSERT_EQ(cur.Init(n, obj, base), lp::Status::kOptimal);
+  cur.Check("init");
+
+  // Push/pop snapshot stack, exactly like the descent's save/restore.
+  std::vector<KernelPair> stack;
+  KernelPair work;
+  int optimal_appends = 0;
+  for (int op = 0; op < 120 && !HasFailure(); ++op) {
+    const std::string where = "seed " + std::to_string(dc.seed) + " op " +
+                              std::to_string(op);
+    const int pick = static_cast<int>(rng.UniformInt(10));
+    if (pick < 4) {  // push: snapshot, append, pop back on failure
+      double b = 0.0;
+      std::vector<double> a = RandomRow(dc.dim, dc.ball, n, seen, &b, &rng);
+      stack.emplace_back();
+      stack.back().CopyFrom(cur);
+      const lp::Status s = cur.AddRow(a, b);
+      cur.Check(where + " push");
+      if (s == lp::Status::kOptimal) {
+        ++optimal_appends;
+        a.push_back(b);
+        seen.push_back(std::move(a));
+      } else {
+        cur.CopyFrom(stack.back());
+        stack.pop_back();
+        cur.Check(where + " push-restore");
+      }
+    } else if (pick < 6) {  // side test on a scratch copy
+      double b = 0.0;
+      std::vector<double> a = RandomRow(dc.dim, dc.ball, n, seen, &b, &rng);
+      work.CopyFrom(cur);
+      work.AddRow(a, b);
+      work.Check(where + " side");
+    } else if (pick < 8) {  // objective reload
+      KernelPair saved;
+      saved.CopyFrom(cur);
+      const lp::Status s =
+          cur.SetObjective(RandomObjective(dc.dim, dc.ball, n, &rng));
+      cur.Check(where + " objective");
+      if (s != lp::Status::kOptimal) {
+        cur.CopyFrom(saved);
+        cur.Check(where + " objective-restore");
+      }
+    } else if (!stack.empty()) {  // pop
+      cur.CopyFrom(stack.back());
+      stack.pop_back();
+      cur.Check(where + " pop");
+    }
+  }
+  EXPECT_GT(optimal_appends, 0) << "seed " << dc.seed;
+}
+
+std::vector<DiffCase> DiffCases() {
+  std::vector<DiffCase> cases;
+  uint64_t seed = 1000;
+  for (int dim = 2; dim <= 8; ++dim) {
+    for (bool ball : {true, false}) {
+      for (Space space : {Space::kTransformed, Space::kOriginal}) {
+        for (int rep = 0; rep < 3; ++rep) {
+          cases.push_back(DiffCase{dim, ball, space, ++seed});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Random, KernelDifferential, ::testing::ValuesIn(DiffCases()),
+    [](const ::testing::TestParamInfo<DiffCase>& info) {
+      const DiffCase& dc = info.param;
+      return "d" + std::to_string(dc.dim) + (dc.ball ? "_ball" : "_bound") +
+             (dc.space == Space::kTransformed ? "_transformed_"
+                                              : "_original_") +
+             std::to_string(dc.seed);
+    });
 
 }  // namespace
 }  // namespace kspr
