@@ -1,4 +1,5 @@
-// Bitwise result fingerprints over six fixed kSPR instances.
+// Bitwise result fingerprints over six fixed kSPR instances, plus the
+// first of them served from disk.
 //
 // For each instance the tool queries every focal record of a fixed list
 // (the leading records of the data's k-skyband in BBS order) and folds
@@ -14,10 +15,22 @@
 // The hash covers exact doubles, so it is as strict as the bitwise
 // identity suites; like them it is only comparable between builds from
 // the same compiler and flags. Runs in a few seconds in a Release build.
+//
+// The seventh line, lpcta_ind_d3_disk, runs the lpcta_ind_d3 instance
+// against a snapshot of its tree: saved to the temp directory, reopened,
+// and served through a buffer pool a quarter the size of the tree, so
+// the pool thrashes. Disk == memory holds iff its hash equals the
+// lpcta_ind_d3 hash; the pool's page reads go to stderr.
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -30,6 +43,7 @@
 #include "datagen/synthetic.h"
 #include "index/bbs.h"
 #include "index/rtree.h"
+#include "storage/storage_engine.h"
 
 namespace kspr::bench {
 namespace {
@@ -44,6 +58,7 @@ struct Instance {
   int k;
   Algorithm algo;
   int max_focals;  // 0: the whole k-skyband
+  bool disk = false;  // serve from a reopened snapshot through a pool
 };
 
 constexpr Instance kInstances[] = {
@@ -59,6 +74,8 @@ constexpr Instance kInstances[] = {
      Algorithm::kOlpCta, 40},
     {"cta_ind_d3", Distribution::kIndependent, 500, 3, 5, Algorithm::kCta,
      40},
+    {"lpcta_ind_d3_disk", Distribution::kIndependent, 2000, 3, 10,
+     Algorithm::kLpCta, 0, true},
 };
 
 class Fnv1a64 {
@@ -108,8 +125,28 @@ class Fnv1a64 {
 
 void RunInstance(const Instance& in) {
   const Timer timer;
-  const Dataset data = GenerateSynthetic(in.dist, in.n, in.d, kDataSeed);
-  const RTree tree = RTree::BulkLoad(data);
+  const Dataset generated = GenerateSynthetic(in.dist, in.n, in.d, kDataSeed);
+  const RTree built = RTree::BulkLoad(generated);
+  const Dataset* data_ptr = &generated;
+  const RTree* tree_ptr = &built;
+  std::unique_ptr<StorageEngine> storage;
+  int pool_pages = 0;
+  if (in.disk) {
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         ("kspr_fingerprint_" + std::to_string(::getpid()) + ".snap"))
+            .string();
+    StorageEngine::Save(path, generated, built);
+    pool_pages = std::max(1, built.num_nodes() / 4);
+    StorageOptions options;
+    options.buffer_pages = pool_pages;
+    storage = StorageEngine::Open(path, options);
+    std::filesystem::remove(path);  // the open descriptor keeps it readable
+    data_ptr = storage->dataset();
+    tree_ptr = storage->tree();
+  }
+  const Dataset& data = *data_ptr;
+  const RTree& tree = *tree_ptr;
   const KsprSolver solver(&data, &tree);
   std::vector<RecordId> focals = KSkyband(data, tree, in.k);
   if (in.max_focals > 0 && static_cast<int>(focals.size()) > in.max_focals) {
@@ -132,8 +169,13 @@ void RunInstance(const Instance& in) {
               static_cast<long long>(regions),
               static_cast<unsigned long long>(hash.value()));
   std::fflush(stdout);
-  // Timing goes to stderr so stdout stays diffable.
+  // Timing and page reads go to stderr so stdout stays diffable.
   std::fprintf(stderr, "%s: %.2f s\n", in.name, timer.Seconds());
+  if (storage != nullptr) {
+    std::fprintf(stderr, "%s: pool_pages=%d page_reads=%lld\n", in.name,
+                 pool_pages,
+                 static_cast<long long>(storage->pool()->tracker()->reads()));
+  }
 }
 
 }  // namespace

@@ -182,18 +182,20 @@ struct Traversal {
     }
     for (int c : node.items) {
       if (bounds.lb > k) return;
-      const RTree::Node& child = ctx->tree->Fetch(c);
-      Decision d = FastDecide(child.mbr.lo.v.data(), child.mbr.hi.v.data());
+      // The child is decided from its resident entry summary; its page
+      // is fetched only if the traversal descends into it.
+      const Mbr& box = ctx->tree->EntryMbr(c);
+      Decision d = FastDecide(box.lo.v.data(), box.hi.v.data());
       if (d == Decision::kBelow) continue;
-      if (PivotDominated(child.mbr)) continue;  // kBelow, no LP needed
+      if (PivotDominated(box)) continue;  // kBelow, no LP needed
       if (d == Decision::kUnknown && ctx->mode != BoundMode::kRecord &&
           RefinementPays()) {
-        d = TightDecide(child.mbr.lo, child.mbr.hi);
+        d = TightDecide(box.lo, box.hi);
       }
       if (d == Decision::kUnknown) {
         VisitNode(c);
       } else {
-        Apply(d, child.count);
+        Apply(d, ctx->tree->EntryCount(c));
       }
     }
   }

@@ -15,7 +15,8 @@ struct HeapEntry {
   bool operator<(const HeapEntry& o) const { return key < o.key; }
 };
 
-// Pushes the children of `node` (records for leaves).
+// Pushes the children of `node` (records for leaves). Child keys come
+// from the resident entry summaries: no child page is fetched.
 void PushChildren(const Dataset& data, const RTree& tree,
                   const RTree::Node& node, std::priority_queue<HeapEntry>* pq) {
   if (node.leaf) {
@@ -35,7 +36,7 @@ void PushChildren(const Dataset& data, const RTree& tree,
       HeapEntry e;
       e.is_record = false;
       e.id = c;
-      e.key = tree.Fetch(c).mbr.MaxSum();
+      e.key = tree.EntryMbr(c).MaxSum();
       pq->push(e);
     }
   }
@@ -61,7 +62,7 @@ std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
     HeapEntry e;
     e.is_record = false;
     e.id = tree.root();
-    e.key = tree.Fetch(tree.root()).mbr.MaxSum();
+    e.key = tree.EntryMbr(tree.root()).MaxSum();
     pq.push(e);
   }
   while (!pq.empty()) {
@@ -72,9 +73,9 @@ std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
       if (exclude != nullptr && exclude->contains(e.rid)) continue;
       sky.push_back(e.rid);
     } else {
-      const RTree::Node& node = tree.Fetch(e.id);
-      if (dominated(node.mbr.hi.v.data())) continue;
-      PushChildren(data, tree, node, &pq);
+      // Decided from the entry summary; only survivors are fetched.
+      if (dominated(tree.EntryMbr(e.id).hi.v.data())) continue;
+      PushChildren(data, tree, tree.Fetch(e.id), &pq);
     }
   }
   return sky;
@@ -98,7 +99,7 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k) {
     HeapEntry e;
     e.is_record = false;
     e.id = tree.root();
-    e.key = tree.Fetch(tree.root()).mbr.MaxSum();
+    e.key = tree.EntryMbr(tree.root()).MaxSum();
     pq.push(e);
   }
   while (!pq.empty()) {
@@ -107,9 +108,8 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k) {
     if (e.is_record) {
       if (dominator_count(data.Row(e.rid)) < k) band.push_back(e.rid);
     } else {
-      const RTree::Node& node = tree.Fetch(e.id);
-      if (dominator_count(node.mbr.hi.v.data()) >= k) continue;
-      PushChildren(data, tree, node, &pq);
+      if (dominator_count(tree.EntryMbr(e.id).hi.v.data()) >= k) continue;
+      PushChildren(data, tree, tree.Fetch(e.id), &pq);
     }
   }
   return band;
@@ -130,18 +130,21 @@ bool ExistsUnprocessedNotDominated(
   if (tree.empty()) return false;
   std::vector<int> stack = {tree.root()};
   while (!stack.empty()) {
-    const RTree::Node& node = tree.Fetch(stack.back());
+    const int id = stack.back();
     stack.pop_back();
     // Prune: some pivot weakly dominates the whole box (Lemma 5 -- no
-    // record inside can change the cell's rank or extent).
+    // record inside can change the cell's rank or extent). Decided from
+    // the entry summary, so a pruned subtree's page is never fetched.
+    const Mbr& box = tree.EntryMbr(id);
     bool pruned = false;
     for (const Vec& piv : pivots) {
-      if (node.mbr.WeaklyDominatedBy(piv)) {
+      if (box.WeaklyDominatedBy(piv)) {
         pruned = true;
         break;
       }
     }
     if (pruned) continue;
+    const RTree::Node& node = tree.Fetch(id);
     if (node.leaf) {
       for (RecordId rid : node.items) {
         if (processed[rid]) continue;

@@ -199,11 +199,16 @@ RTree& RTree::operator=(RTree&& o) noexcept {
   return *this;
 }
 
-RTree RTree::FromStorage(int num_slots, std::vector<int32_t> free_list,
-                         int root, int height, int live_nodes,
-                         int leaf_capacity, int fanout, NodeSource* source) {
+RTree RTree::FromStorage(const std::vector<EntrySummary>& summaries,
+                         std::vector<int32_t> free_list, int root, int height,
+                         int live_nodes, int leaf_capacity, int fanout,
+                         NodeSource* source) {
   RTree t;
-  t.nodes_.resize(static_cast<size_t>(num_slots));
+  t.nodes_.resize(summaries.size());
+  for (size_t id = 0; id < summaries.size(); ++id) {
+    t.nodes_[id].mbr = summaries[id].mbr;
+    t.nodes_[id].count = summaries[id].count;
+  }
   t.free_ = std::move(free_list);
   for (int32_t id : t.free_) t.nodes_[id].retired = true;
   t.root_ = root;

@@ -12,14 +12,24 @@
 // the tracker's buffer (see page_tracker.h) and their ids are recycled by
 // later inserts.
 //
+// Entry summaries: every slot's MBR and aggregate count stay resident in
+// nodes_, in every tree, hollow ones included. EntryMbr/EntryCount read
+// them and never fault a page or charge an access, so a caller that only
+// needs a child's box (the look-ahead's group decisions, the BBS heap
+// keys and dominance tests, the Lemma-5 pruning scan) decides the child
+// from its parent's entry and fetches it only if it descends — the
+// paper's Appendix A accounting, where a page is charged for the nodes a
+// query opens.
+//
 // Disk-backed mode: a tree opened from a snapshot (storage/StorageEngine)
-// starts HOLLOW — only root/height/capacities are known, nodes_ is empty,
-// and every Fetch is served by the attached NodeSource (the storage
-// BufferPool, which pages nodes in from the file on demand and does its
-// own access accounting). A hollow tree answers every read-path call that
-// goes through Fetch; Insert/Delete/CheckInvariants/NodeAt need the whole
-// structure and require Materialize first (the engine's update path does
-// this automatically before mutating).
+// starts HOLLOW — root/height/capacities and the entry summaries (from
+// the snapshot directory) are known, but no node's items are, and every
+// Fetch is served by the attached NodeSource (the storage BufferPool,
+// which pages nodes in from the file on demand and does its own access
+// accounting). A hollow tree answers every read-path call that goes
+// through Fetch or the entry summaries; Insert/Delete/CheckInvariants/
+// NodeAt need the whole structure and require Materialize first (the
+// engine's update path does this automatically before mutating).
 //
 // Thread safety: Fetch is safe from many concurrent readers. Insert,
 // Delete and Materialize are NOT — callers (the QueryEngine's update
@@ -55,6 +65,13 @@ class RTree {
     std::vector<int32_t> items;
   };
 
+  /// A slot's entry summary as the snapshot directory stores it: the
+  /// MBR and aggregate count its parent's entry carries.
+  struct EntrySummary {
+    Mbr mbr;
+    int32_t count = 0;
+  };
+
   /// Backing store for node pages in disk-backed mode. Implemented by
   /// storage/BufferPool: FetchNode pages the node in (charging its own
   /// PageTracker accounting), caches the decoded frame, and returns a
@@ -76,14 +93,15 @@ class RTree {
                         int fanout = 64);
 
   /// Reconstructs a tree from snapshot metadata WITHOUT loading any node:
-  /// `num_slots` node slots (live and retired, ids preserved) all start
-  /// non-resident and every Fetch is served through `source`. The free
-  /// list restores retired-slot reuse order so post-materialize dynamic
-  /// inserts allocate the same ids a never-saved tree would.
-  static RTree FromStorage(int num_slots, std::vector<int32_t> free_list,
-                           int root, int height, int live_nodes,
-                           int leaf_capacity, int fanout,
-                           NodeSource* source);
+  /// one slot per entry of `summaries` (live and retired, ids preserved),
+  /// each holding only its entry summary; every Fetch is served through
+  /// `source`. The free list marks the retired slots and restores their
+  /// reuse order so post-materialize dynamic inserts allocate the same
+  /// ids a never-saved tree would.
+  static RTree FromStorage(const std::vector<EntrySummary>& summaries,
+                           std::vector<int32_t> free_list, int root,
+                           int height, int live_nodes, int leaf_capacity,
+                           int fanout, NodeSource* source);
 
   RTree() = default;
   // The atomic tracker slot suppresses the implicit move operations;
@@ -124,6 +142,13 @@ class RTree {
     }
     return nodes_[id];
   }
+
+  /// Entry summary of live slot `id`: its MBR and the number of records
+  /// in its subtree. Resident in hollow trees too; never faults a page
+  /// and never charges an access, in either mode. Safe from many threads
+  /// under the same rules as Fetch.
+  const Mbr& EntryMbr(int id) const { return nodes_[id].mbr; }
+  int32_t EntryCount(int id) const { return nodes_[id].count; }
 
   /// True while Fetch is served by a NodeSource (hollow tree).
   bool disk_backed() const {

@@ -12,13 +12,24 @@
 //   page 0                     header (see field list in EncodeHeader)
 //   pages 1 .. D               dataset stream: n*d doubles (row major),
 //                              then n live bytes, packed across payloads
-//   pages 1+D .. 1+D+L-1       directory stream: one u8 tree level per
-//                              node slot (kRetiredLevel for retired
-//                              slots), then the free list as i32s
+//   pages 1+D .. 1+D+L-1       directory stream, the per-slot node
+//                              directory: one u8 tree level per node slot
+//                              (kRetiredLevel for retired slots), then
+//                              one entry summary per LIVE slot in slot
+//                              order (i32 count, f64 mbr_lo[dim],
+//                              f64 mbr_hi[dim]), then the free list as
+//                              i32s
 //   pages 1+D+L + slot         one page per R-tree node slot, live and
 //                              retired alike, so slot id -> page id is a
 //                              constant offset. These are the pages the
 //                              buffer pool faults on demand.
+//
+// The entry summaries duplicate each live node page's count and MBR. Open
+// reads them with the rest of the directory and the hollow R-tree keeps
+// them resident, so a query decides a child from its box without
+// faulting the child's page; a fault checks the decoded page against its
+// summary bit for bit. At d = 8 a summary is 132 bytes, so the directory
+// costs about one page per 31 node pages.
 //
 // All integers are little-endian regardless of host byte order; doubles
 // are serialised as the little-endian bytes of their IEEE-754 bit
@@ -47,8 +58,10 @@
 namespace kspr {
 
 /// Any malformed-snapshot condition: bad magic, version or endianness,
-/// truncated file, checksum mismatch, or a node that does not fit a page.
-/// The buffer pool also throws this from a lazy node fault on corruption.
+/// truncated file, checksum mismatch, out-of-range ids, a node page that
+/// disagrees with its directory summary, or a node that does not fit a
+/// page. The buffer pool also throws this from a lazy node fault on
+/// corruption.
 class SnapshotError : public std::runtime_error {
  public:
   explicit SnapshotError(const std::string& what)
@@ -58,7 +71,7 @@ class SnapshotError : public std::runtime_error {
 namespace snapshot {
 
 inline constexpr char kMagic[8] = {'K', 'S', 'P', 'R', 'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr uint32_t kEndianMarker = 0x01020304u;
 inline constexpr int kPageSize = DiskModel::kPageSize;
 inline constexpr int kChecksumBytes = 8;

@@ -61,7 +61,30 @@ Header DecodeHeader(const uint8_t* payload, const std::string& path) {
           1 + h.dataset_pages + h.directory_pages + h.num_slots) {
     throw SnapshotError(path + ": inconsistent header");
   }
+  // Queries read nodes_[root] before faulting any page, so the root must
+  // name a slot: -1 exactly when the tree has no live node. (Open checks
+  // that the slot is not retired once the directory is decoded.)
+  if ((h.root == -1) != (h.live_nodes == 0) ||
+      (h.root != -1 && (h.root < 0 || h.root >= h.num_slots))) {
+    throw SnapshotError(path + ": root slot " + std::to_string(h.root) +
+                        " out of range");
+  }
   return h;
+}
+
+/// Bitwise equality of a decoded node's count and MBR with its summary.
+bool MatchesSummary(const RTree::Node& node, const RTree::EntrySummary& s,
+                    int dim) {
+  if (node.count != s.count) return false;
+  for (int i = 0; i < dim; ++i) {
+    if (std::bit_cast<uint64_t>(node.mbr.lo.v[i]) !=
+            std::bit_cast<uint64_t>(s.mbr.lo.v[i]) ||
+        std::bit_cast<uint64_t>(node.mbr.hi.v[i]) !=
+            std::bit_cast<uint64_t>(s.mbr.hi.v[i])) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -134,7 +157,7 @@ SnapshotReader::SnapshotReader(const std::string& path, Options options)
       throw SnapshotError(path + ": dataset section shorter than header");
     }
 
-    // Directory pages: per-slot levels + free list.
+    // Directory pages: per-slot levels, live-slot summaries, free list.
     std::vector<uint8_t> dir_stream;
     dir_stream.reserve(static_cast<size_t>(header_.directory_pages) *
                        kPayloadBytes);
@@ -150,25 +173,57 @@ SnapshotReader::SnapshotReader(const std::string& path, Options options)
       dir_stream.insert(dir_stream.end(), page_p, page_p + kPayloadBytes);
     }
     Decoder dec(dir_stream.data(), dir_stream.size());
+    const int dim = static_cast<int>(header_.dim);
     levels_.resize(static_cast<size_t>(header_.num_slots));
     for (auto& l : levels_) l = dec.U8();
+    summaries_.resize(static_cast<size_t>(header_.num_slots));
+    int64_t retired_slots = 0;
+    for (int64_t slot = 0; slot < header_.num_slots; ++slot) {
+      if (levels_[slot] == snapshot::kRetiredLevel) {
+        ++retired_slots;
+        continue;
+      }
+      RTree::EntrySummary& s = summaries_[slot];
+      s.count = dec.I32();
+      if (s.count < 0) {
+        throw SnapshotError(path + ": negative count for node slot " +
+                            std::to_string(slot));
+      }
+      s.mbr.lo = Vec(dim);
+      s.mbr.hi = Vec(dim);
+      for (int i = 0; i < dim; ++i) s.mbr.lo.v[i] = dec.F64();
+      for (int i = 0; i < dim; ++i) s.mbr.hi.v[i] = dec.F64();
+    }
+    // The free list names exactly the retired slots, each once: the tree
+    // marks retired slots from it, ReadNode from the levels.
+    if (retired_slots != header_.free_list_len ||
+        header_.live_nodes != header_.num_slots - retired_slots) {
+      throw SnapshotError(path + ": free list disagrees with the directory");
+    }
+    std::vector<char> listed(static_cast<size_t>(header_.num_slots), 0);
     free_list_.resize(static_cast<size_t>(header_.free_list_len));
     for (auto& s : free_list_) {
       s = dec.I32();
       if (s < 0 || s >= header_.num_slots) {
         throw SnapshotError(path + ": free-list entry out of range");
       }
+      if (levels_[s] != snapshot::kRetiredLevel || listed[s]) {
+        throw SnapshotError(path + ": free list disagrees with the directory");
+      }
+      listed[s] = 1;
+    }
+    if (header_.root >= 0 &&
+        levels_[header_.root] == snapshot::kRetiredLevel) {
+      throw SnapshotError(path + ": root slot " +
+                          std::to_string(header_.root) + " is retired");
     }
 
     if (options_.verify_all) {
       std::vector<uint8_t> node_page(kPageSize);
+      RTree::Node scratch;
       for (int64_t slot = 0; slot < header_.num_slots; ++slot) {
         ReadPages(header_.PageOfSlot(slot), 1, node_page.data());
-        if (!snapshot::PageOk(node_page.data())) {
-          throw SnapshotError(
-              "snapshot: checksum mismatch in node page for slot " +
-              std::to_string(slot) + " of " + path);
-        }
+        DecodeNode(static_cast<int>(slot), node_page.data(), &scratch);
       }
     }
   } catch (...) {
@@ -263,6 +318,11 @@ void SnapshotReader::ReadNode(int slot, RTree::Node* out) const {
   alignas(8) uint8_t page[kPageSize];
   FetchRawPage(header_.PageOfSlot(slot), page);
   node_bytes_read_.fetch_add(kPageSize, std::memory_order_relaxed);
+  DecodeNode(slot, page, out);
+}
+
+void SnapshotReader::DecodeNode(int slot, const uint8_t* page,
+                                RTree::Node* out) const {
   if (!snapshot::PageOk(page)) {
     throw SnapshotError("snapshot: checksum mismatch in node page for slot " +
                         std::to_string(slot) + " of " + path_);
@@ -287,6 +347,31 @@ void SnapshotReader::ReadNode(int slot, RTree::Node* out) const {
   for (int i = 0; i < dim; ++i) out->mbr.hi.v[i] = dec.F64();
   out->items.assign(static_cast<size_t>(num_items), 0);
   for (int32_t& item : out->items) item = dec.I32();
+
+  // Callers index Dataset rows and node slots with these ids and decide
+  // children from the resident summaries, so a page that passes its
+  // checksum must still agree with the directory.
+  const bool retired = levels_[slot] == snapshot::kRetiredLevel;
+  if (out->retired != retired) {
+    throw SnapshotError(path_ + ": node slot " + std::to_string(slot) +
+                        " retired flag disagrees with the directory");
+  }
+  for (int32_t item : out->items) {
+    const bool ok =
+        out->leaf ? item >= 0 && item < header_.num_records
+                  : item >= 0 && item < header_.num_slots &&
+                        levels_[item] != snapshot::kRetiredLevel;
+    if (!ok) {
+      throw SnapshotError(path_ + ": node slot " + std::to_string(slot) +
+                          " names invalid " +
+                          (out->leaf ? "record " : "child slot ") +
+                          std::to_string(item));
+    }
+  }
+  if (!retired && !MatchesSummary(*out, summaries_[slot], dim)) {
+    throw SnapshotError(path_ + ": node slot " + std::to_string(slot) +
+                        " disagrees with its directory summary");
+  }
 }
 
 int64_t SnapshotReader::node_bytes_read() const {

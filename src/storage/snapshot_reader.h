@@ -2,10 +2,12 @@
 //
 // Opening a snapshot validates the header, the file length against the
 // header's page count (truncation check), and the dataset + directory
-// pages eagerly — those sections are needed up front anyway. Node pages
-// are NOT touched at open: they are fetched one `pread` at a time as the
-// buffer pool faults on them, each verified against its per-page checksum
-// at that moment (or all eagerly with Options::verify_all).
+// pages eagerly — those sections are needed up front anyway, and the
+// directory carries every live slot's entry summary (count + MBR) for the
+// hollow R-tree. Node pages are NOT touched at open: they are fetched one
+// `pread` at a time as the buffer pool faults on them, each verified at
+// that moment (or all eagerly with Options::verify_all) against its
+// per-page checksum, the id ranges, and its directory summary.
 //
 // Thread safety: ReadNode is safe from many concurrent threads — pread is
 // positionally atomic and the reader state is immutable after open.
@@ -57,18 +59,29 @@ class SnapshotReader {
   /// Per-slot tree levels (snapshot::kRetiredLevel for retired slots).
   const std::vector<uint8_t>& levels() const { return levels_; }
 
+  /// Per-slot entry summaries from the directory (default-constructed
+  /// for retired slots): what RTree::FromStorage keeps resident.
+  const std::vector<RTree::EntrySummary>& summaries() const {
+    return summaries_;
+  }
+
   /// Retired slots in saved (LIFO reuse) order.
   const std::vector<int32_t>& free_list() const { return free_list_; }
 
   /// Fetches and decodes node `slot` (one pread or mmap copy), verifying
-  /// the page checksum. Throws SnapshotError on corruption or
-  /// out-of-range slot. `out` is fully overwritten.
+  /// the page checksum, that every item names a record (leaf) or a live
+  /// slot (internal) in range, and that a live node's count and MBR equal
+  /// its directory summary bit for bit. Throws SnapshotError on any
+  /// mismatch, corruption or out-of-range slot. `out` is fully
+  /// overwritten.
   void ReadNode(int slot, RTree::Node* out) const;
 
   /// Bytes fetched by ReadNode so far (excludes the eager open reads).
   int64_t node_bytes_read() const;
 
  private:
+  /// ReadNode's checks and decode over an already-fetched page.
+  void DecodeNode(int slot, const uint8_t* page, RTree::Node* out) const;
   void ReadPages(int64_t first_page, int64_t count, uint8_t* out) const;
   void FetchRawPage(int64_t page_id, uint8_t* out) const;
 
@@ -80,6 +93,7 @@ class SnapshotReader {
   snapshot::Header header_;
   std::vector<uint8_t> dataset_stream_;
   std::vector<uint8_t> levels_;
+  std::vector<RTree::EntrySummary> summaries_;
   std::vector<int32_t> free_list_;
   mutable std::atomic<int64_t> node_bytes_read_{0};
 };

@@ -153,12 +153,20 @@ void SnapshotWriter::Write(const std::string& path, const Dataset& data,
   }
   h.dataset_pages = snapshot::PagesFor(dataset_stream.size());
 
-  // Directory stream: per-slot level bytes, then the free list.
+  // Directory stream: per-slot level bytes, the live slots' entry
+  // summaries, then the free list.
   const std::vector<uint8_t> levels = ComputeLevels(tree);
   std::vector<uint8_t> dir_stream;
   {
     Encoder enc(&dir_stream);
     for (uint8_t l : levels) enc.U8(l);
+    for (int slot = 0; slot < tree.num_slots(); ++slot) {
+      if (levels[slot] == kRetiredLevel) continue;
+      const RTree::Node& node = tree.NodeAt(slot);
+      enc.I32(node.count);
+      for (int i = 0; i < data.dim(); ++i) enc.F64(node.mbr.lo.v[i]);
+      for (int i = 0; i < data.dim(); ++i) enc.F64(node.mbr.hi.v[i]);
+    }
     for (int32_t slot : tree.free_list()) enc.I32(slot);
   }
   h.free_list_len = static_cast<int64_t>(tree.free_list().size());

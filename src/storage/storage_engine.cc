@@ -62,7 +62,7 @@ std::unique_ptr<StorageEngine> StorageEngine::Open(const std::string& path,
   }
 
   engine->tree_ = RTree::FromStorage(
-      static_cast<int>(h.num_slots), engine->reader_->free_list(), h.root,
+      engine->reader_->summaries(), engine->reader_->free_list(), h.root,
       h.height, static_cast<int>(h.live_nodes), h.leaf_capacity, h.fanout,
       engine->pool_.get());
   // The pool's tracker does the accounting while disk-backed (Fetch goes

@@ -1,9 +1,11 @@
 // Disk-backed serving: snapshot file + buffer pool + hollow R-tree.
 //
 // StorageEngine::Save persists a (Dataset, RTree) pair; Open brings one
-// back in O(header + dataset) time — node pages stay on disk and are
-// paged in through a real BufferPool as queries touch them, so opening a
-// saved snapshot costs a small constant instead of an O(n log n) rebuild.
+// back in O(header + dataset + node directory) time — node pages stay on
+// disk and are paged in through a real BufferPool as queries open them
+// (every node's MBR and count come with the directory and stay resident
+// in the hollow tree), so opening a saved snapshot costs a small constant
+// instead of an O(n log n) rebuild.
 // The opened dataset/tree plug straight into QueryEngine (which has a
 // StorageEngine* constructor): query results — regions AND stats — are
 // bitwise-identical to an in-memory engine over the same data, because
@@ -53,7 +55,8 @@ struct StorageOptions {
   /// buffer_pages/per_level_sizing when non-empty.
   std::vector<int> level_pages;
 
-  /// Verify every node-page checksum at Open instead of lazily at fault.
+  /// Verify every node page (checksum, ids, directory summary) at Open
+  /// instead of lazily at fault.
   bool verify_all = false;
 
   /// Serve node pages from a read-only mmap instead of pread.

@@ -17,6 +17,7 @@
 
 #include "common/rng.h"
 #include "engine/query_engine.h"
+#include "index/bbs.h"
 #include "io/disk_model.h"
 #include "io/page_tracker.h"
 #include "storage/buffer_pool.h"
@@ -168,9 +169,9 @@ TEST(SnapshotRoundTrip, HeaderIsLittleEndianStable) {
   in.read(reinterpret_cast<char*>(page.data()), snapshot::kPageSize);
   ASSERT_EQ(in.gcount(), snapshot::kPageSize);
   EXPECT_EQ(std::memcmp(page.data(), snapshot::kMagic, 8), 0);
-  // format_version = 1, then the 0x01020304 marker — both little-endian
+  // format_version = 2, then the 0x01020304 marker — both little-endian
   // byte sequences regardless of the writing host.
-  const unsigned char expect[8] = {1, 0, 0, 0, 0x04, 0x03, 0x02, 0x01};
+  const unsigned char expect[8] = {2, 0, 0, 0, 0x04, 0x03, 0x02, 0x01};
   EXPECT_EQ(std::memcmp(page.data() + 8, expect, 8), 0)
       << "header is not serialised little-endian";
 }
@@ -262,6 +263,309 @@ TEST(SnapshotValidation, CorruptNodePageFailsAtFaultOrEagerly) {
   eager.verify_all = true;
   EXPECT_THROW(StorageEngine::Open(path, eager), SnapshotError)
       << "verify_all missed a corrupt node page";
+}
+
+// ---------------------------------------------------------------------------
+// Hand-crafted files: every edit below re-seals the page checksum, so only
+// the decoder's semantic checks can reject the result.
+
+/// Byte offsets of the fields the hardening tests rewrite.
+constexpr int kHeaderVersionOffset = 8;
+constexpr int kHeaderRootOffset = 48;
+constexpr int kNodeCountOffset = 4;
+constexpr int kNodeMbrOffset = 16;
+int NodeItemsOffset(int dim) { return kNodeMbrOffset + 16 * dim; }
+
+int32_t GetI32(const uint8_t* p) {
+  uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
+  return static_cast<int32_t>(v);
+}
+
+void PutI32(uint8_t* p, int32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    p[i] = static_cast<uint8_t>(static_cast<uint32_t>(v) >> (8 * i));
+  }
+}
+
+/// Rewrites page `page_id` of `path` through `edit`, then re-seals it.
+template <typename Edit>
+void EditSealedPage(const std::string& path, int64_t page_id, Edit edit) {
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(f.is_open()) << path;
+  std::vector<uint8_t> page(snapshot::kPageSize);
+  f.seekg(page_id * snapshot::kPageSize);
+  f.read(reinterpret_cast<char*>(page.data()), snapshot::kPageSize);
+  ASSERT_EQ(f.gcount(), snapshot::kPageSize);
+  edit(page.data());
+  const uint64_t sum =
+      snapshot::PageChecksum(page.data(), snapshot::kPayloadBytes);
+  for (int i = 0; i < 8; ++i) {
+    page[snapshot::kPayloadBytes + i] = static_cast<uint8_t>(sum >> (8 * i));
+  }
+  f.seekp(page_id * snapshot::kPageSize);
+  f.write(reinterpret_cast<char*>(page.data()), snapshot::kPageSize);
+}
+
+/// Runs `fn` and expects a SnapshotError whose message contains `needle`.
+template <typename Fn>
+void ExpectSnapshotError(Fn fn, const std::string& needle) {
+  try {
+    fn();
+    ADD_FAILURE() << "no SnapshotError (expected \"" << needle << "\")";
+  } catch (const SnapshotError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+/// A saved churned instance (multi-level tree with retired slots) plus a
+/// fresh copy of its file per edit.
+class CraftedSnapshot {
+ public:
+  CraftedSnapshot()
+      : inst_(Distribution::kIndependent, 400, 3, 12),
+        path_(TestSnapPath("base")) {
+    Churn(&inst_.mutable_data(), &inst_.mutable_tree(), 250, inst_.sky(0));
+    StorageEngine::Save(path_, inst_.data(), inst_.tree());
+    SnapshotReader reader(path_);
+    header_ = reader.header();
+    levels_ = reader.levels();
+  }
+
+  const snapshot::Header& header() const { return header_; }
+  const RTree& tree() const { return inst_.tree(); }
+  int dim() const { return inst_.data().dim(); }
+
+  /// Copies the saved file to a new path named after `tag`.
+  std::string Copy(const std::string& tag) const {
+    const std::string out = TestSnapPath(tag);
+    fs::copy_file(path_, out, fs::copy_options::overwrite_existing);
+    return out;
+  }
+
+  /// First live slot at tree depth `level`.
+  int SlotAtLevel(int level) const {
+    for (size_t s = 0; s < levels_.size(); ++s) {
+      if (levels_[s] == level) return static_cast<int>(s);
+    }
+    ADD_FAILURE() << "no slot at level " << level;
+    return header_.root;
+  }
+
+ private:
+  SyntheticInstance inst_;
+  std::string path_;
+  snapshot::Header header_;
+  std::vector<uint8_t> levels_;
+};
+
+/// Opens `path` lazily and expects the first fault of `slot` to throw,
+/// and an eager (verify_all) open to throw too.
+void ExpectFaultRejected(const std::string& path, int slot,
+                         const std::string& needle) {
+  std::unique_ptr<StorageEngine> storage = StorageEngine::Open(path);
+  ExpectSnapshotError([&] { storage->tree()->Fetch(slot); }, needle);
+  StorageOptions eager;
+  eager.verify_all = true;
+  ExpectSnapshotError([&] { StorageEngine::Open(path, eager); }, needle);
+}
+
+TEST(SnapshotHardening, RejectsFormatVersion1) {
+  const CraftedSnapshot base;
+  const std::string path = base.Copy("v1");
+  EditSealedPage(path, 0,
+                 [](uint8_t* p) { PutI32(p + kHeaderVersionOffset, 1); });
+  ExpectSnapshotError([&] { SnapshotReader reader(path); },
+                      "unsupported snapshot format version 1");
+}
+
+TEST(SnapshotHardening, RejectsRootOutOfRange) {
+  const CraftedSnapshot base;
+  const int32_t num_slots = static_cast<int32_t>(base.header().num_slots);
+  for (int32_t root : {num_slots, num_slots + 1000, -2, -1}) {
+    const std::string path = base.Copy("root" + std::to_string(root + 2));
+    EditSealedPage(path, 0,
+                   [&](uint8_t* p) { PutI32(p + kHeaderRootOffset, root); });
+    ExpectSnapshotError([&] { SnapshotReader reader(path); }, "root slot");
+  }
+}
+
+TEST(SnapshotHardening, RejectsRetiredRoot) {
+  const CraftedSnapshot base;
+  ASSERT_FALSE(base.tree().free_list().empty());
+  const int32_t retired = base.tree().free_list().front();
+  const std::string path = base.Copy("retired_root");
+  EditSealedPage(path, 0,
+                 [&](uint8_t* p) { PutI32(p + kHeaderRootOffset, retired); });
+  ExpectSnapshotError([&] { SnapshotReader reader(path); }, "is retired");
+}
+
+TEST(SnapshotHardening, RejectsNegativeDirectoryCount) {
+  const CraftedSnapshot base;
+  // The first live slot's summary starts right after the level bytes.
+  const int64_t num_slots = base.header().num_slots;
+  ASSERT_LT(num_slots + 4, snapshot::kPayloadBytes);
+  const std::string path = base.Copy("negative_count");
+  EditSealedPage(path, base.header().first_directory_page(),
+                 [&](uint8_t* p) { PutI32(p + num_slots, -3); });
+  ExpectSnapshotError([&] { SnapshotReader reader(path); }, "negative count");
+}
+
+TEST(SnapshotHardening, RejectsChildOutOfRangeOrRetiredAtFault) {
+  const CraftedSnapshot base;
+  const int root = base.header().root;
+  ASSERT_GT(base.header().height, 1) << "root must be internal";
+  const int32_t num_slots = static_cast<int32_t>(base.header().num_slots);
+  const int32_t retired = base.tree().free_list().front();
+  int tag = 0;
+  for (int32_t child : {num_slots, -1, retired}) {
+    const std::string path = base.Copy("child" + std::to_string(tag++));
+    EditSealedPage(path, base.header().PageOfSlot(root), [&](uint8_t* p) {
+      PutI32(p + NodeItemsOffset(base.dim()), child);
+    });
+    ExpectFaultRejected(path, root, "invalid child slot");
+  }
+}
+
+TEST(SnapshotHardening, RejectsRecordOutOfRangeAtFault) {
+  const CraftedSnapshot base;
+  const int leaf = base.SlotAtLevel(base.header().height - 1);
+  ASSERT_TRUE(base.tree().NodeAt(leaf).leaf);
+  const int32_t num_records =
+      static_cast<int32_t>(base.header().num_records);
+  int tag = 0;
+  for (int32_t record : {num_records, num_records + 4096, -7}) {
+    const std::string path = base.Copy("record" + std::to_string(tag++));
+    EditSealedPage(path, base.header().PageOfSlot(leaf), [&](uint8_t* p) {
+      PutI32(p + NodeItemsOffset(base.dim()), record);
+    });
+    ExpectFaultRejected(path, leaf, "invalid record");
+  }
+}
+
+TEST(SnapshotHardening, RejectsNodePageDisagreeingWithSummary) {
+  const CraftedSnapshot base;
+  const int root = base.header().root;
+
+  const std::string count_path = base.Copy("count");
+  EditSealedPage(count_path, base.header().PageOfSlot(root), [](uint8_t* p) {
+    PutI32(p + kNodeCountOffset, GetI32(p + kNodeCountOffset) + 1);
+  });
+  ExpectFaultRejected(count_path, root, "directory summary");
+
+  // One low mantissa bit of mbr_hi[0]: a value a tolerance would accept.
+  const std::string mbr_path = base.Copy("mbr");
+  EditSealedPage(mbr_path, base.header().PageOfSlot(root), [&](uint8_t* p) {
+    p[kNodeMbrOffset + 8 * base.dim()] ^= 0x01;
+  });
+  ExpectFaultRejected(mbr_path, root, "directory summary");
+}
+
+// ---------------------------------------------------------------------------
+// Resident entry summaries.
+
+/// Every live slot's resident summary equals the node ReadNode decodes,
+/// bit for bit, and reading the summaries faults nothing.
+void ExpectSummariesMatchPages(const StorageEngine& storage) {
+  const RTree& tree = storage.tree();
+  ASSERT_TRUE(tree.disk_backed());
+  const int dim = storage.dataset().dim();
+  int live = 0;
+  for (int id = 0; id < tree.num_slots(); ++id) {
+    if (!tree.IsLiveNode(id)) continue;
+    ++live;
+    RTree::Node node;
+    storage.reader()->ReadNode(id, &node);
+    EXPECT_EQ(tree.EntryCount(id), node.count) << "slot " << id;
+    const Mbr& box = tree.EntryMbr(id);
+    ASSERT_EQ(box.lo.dim, dim) << "slot " << id;
+    ASSERT_EQ(box.hi.dim, dim) << "slot " << id;
+    EXPECT_EQ(std::memcmp(box.lo.v.data(), node.mbr.lo.v.data(),
+                          sizeof(double) * dim),
+              0)
+        << "slot " << id;
+    EXPECT_EQ(std::memcmp(box.hi.v.data(), node.mbr.hi.v.data(),
+                          sizeof(double) * dim),
+              0)
+        << "slot " << id;
+  }
+  EXPECT_EQ(live, tree.num_nodes());
+  EXPECT_EQ(storage.pool()->tracker()->accesses(), 0)
+      << "reading entry summaries must not touch the pool";
+}
+
+TEST(EntrySummaryTest, MatchDecodedNodesAfterOpen) {
+  SyntheticInstance inst(Distribution::kIndependent, 400, 3, 25);
+  Churn(&inst.mutable_data(), &inst.mutable_tree(), 250, inst.sky(0));
+  ASSERT_FALSE(inst.tree().free_list().empty());
+  const std::string path = TestSnapPath("summaries");
+  StorageEngine::Save(path, inst.data(), inst.tree());
+  ExpectSummariesMatchPages(*StorageEngine::Open(path));
+}
+
+TEST(EntrySummaryTest, MatchAfterUpdatesResaveAndReopen) {
+  SyntheticInstance inst(Distribution::kIndependent, 400, 3, 26);
+  const std::string path = TestSnapPath("before");
+  StorageEngine::Save(path, inst.data(), inst.tree());
+  std::unique_ptr<StorageEngine> storage = StorageEngine::Open(path);
+  storage->PrepareForUpdates();
+
+  Dataset* data = storage->dataset();
+  RTree* tree = storage->tree();
+  Rng rng(7);
+  for (int i = 0; i < 60; ++i) {
+    Vec r(3);
+    for (int x = 0; x < 3; ++x) r.v[x] = rng.Uniform();
+    tree->Insert(*data, data->Add(r));
+  }
+  Churn(data, tree, 200, inst.sky(0));
+  std::string error;
+  ASSERT_TRUE(tree->CheckInvariants(*data, &error)) << error;
+  ASSERT_FALSE(tree->free_list().empty());
+
+  const std::string resaved = TestSnapPath("after");
+  storage->Resave(resaved);
+  std::unique_ptr<StorageEngine> reopened = StorageEngine::Open(resaved);
+  ExpectSummariesMatchPages(*reopened);
+  // ... and equals the in-memory tree the file was saved from.
+  for (int id = 0; id < tree->num_slots(); ++id) {
+    ASSERT_EQ(reopened->tree()->IsLiveNode(id), tree->IsLiveNode(id));
+    if (!tree->IsLiveNode(id)) continue;
+    EXPECT_EQ(reopened->tree()->EntryCount(id), tree->EntryCount(id));
+    for (int x = 0; x < 3; ++x) {
+      EXPECT_EQ(reopened->tree()->EntryMbr(id).lo.v[x],
+                tree->EntryMbr(id).lo.v[x]);
+      EXPECT_EQ(reopened->tree()->EntryMbr(id).hi.v[x],
+                tree->EntryMbr(id).hi.v[x]);
+    }
+  }
+}
+
+TEST(EntrySummaryTest, PrunedSubtreesAreNeverFaulted) {
+  SyntheticInstance inst(Distribution::kIndependent, 400, 3, 27);
+  const std::string path = TestSnapPath("pruned");
+  StorageEngine::Save(path, inst.data(), inst.tree());
+  std::unique_ptr<StorageEngine> storage = StorageEngine::Open(path);
+  const Dataset& data = *storage->dataset();
+
+  // A pivot at the data's max corner weakly dominates every record, so
+  // the root's summary is pruned before any page is fetched.
+  const std::vector<Vec> pivots = {storage->tree()->EntryMbr(
+      storage->tree()->root()).hi};
+  const std::vector<char> processed(static_cast<size_t>(data.size()), 0);
+  EXPECT_FALSE(ExistsUnprocessedNotDominated(data, *storage->tree(), pivots,
+                                             processed, nullptr, nullptr));
+  EXPECT_EQ(storage->pool()->tracker()->accesses(), 0);
+  EXPECT_EQ(storage->pool()->tracker()->reads(), 0);
+  EXPECT_EQ(storage->pool()->bytes_read(), 0);
+
+  // Without a pivot the scan descends and faults pages as usual.
+  RecordId witness = kInvalidRecord;
+  EXPECT_TRUE(ExistsUnprocessedNotDominated(data, *storage->tree(), {},
+                                            processed, nullptr, &witness));
+  EXPECT_NE(witness, kInvalidRecord);
+  EXPECT_GT(storage->pool()->tracker()->reads(), 0);
 }
 
 // ---------------------------------------------------------------------------
