@@ -21,6 +21,9 @@
 // and served through a buffer pool a quarter the size of the tree, so
 // the pool thrashes. Disk == memory holds iff its hash equals the
 // lpcta_ind_d3 hash; the pool's page reads go to stderr.
+//
+// `--only NAME` runs just the named instance (e.g. to profile one
+// workload, see docs/BENCHMARKS.md); the default runs all seven.
 
 #include <unistd.h>
 
@@ -181,9 +184,23 @@ void RunInstance(const Instance& in) {
 }  // namespace
 }  // namespace kspr::bench
 
-int main() {
+int main(int argc, char** argv) {
+  const char* only = nullptr;
+  if (argc == 3 && std::strcmp(argv[1], "--only") == 0) {
+    only = argv[2];
+  } else if (argc != 1) {
+    std::fprintf(stderr, "usage: %s [--only INSTANCE]\n", argv[0]);
+    return 1;
+  }
+  bool ran = false;
   for (const kspr::bench::Instance& in : kspr::bench::kInstances) {
+    if (only != nullptr && std::strcmp(only, in.name) != 0) continue;
     kspr::bench::RunInstance(in);
+    ran = true;
+  }
+  if (!ran) {
+    std::fprintf(stderr, "unknown instance: %s\n", only);
+    return 1;
   }
   return 0;
 }

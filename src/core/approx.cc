@@ -99,10 +99,8 @@ class ApproxEngine {
       for (const HalfspaceRef& ref : leaf.path) {
         cons.push_back(store_.AsStrictIneq(ref));
       }
-      std::vector<Vec> pivots;
-      pivots.reserve(leaf.neg_records.size());
-      for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
-      bounds_ctx_.pivots = &pivots;
+      pivots_.Assign(data_, leaf.neg_records);
+      bounds_ctx_.pivots = &pivots_;
       RankBounds rb = ComputeRankBounds(bounds_ctx_, cons, base_.k);
       bounds_ctx_.pivots = nullptr;
 
@@ -169,6 +167,7 @@ class ApproxEngine {
   Vec p_;
   RecordId focal_id_;
   BoundsContext bounds_ctx_;
+  PivotSet pivots_;  // the swept leaf's pivots, capacity reused per leaf
   double error_budget_ = 0.0;
   double cell_cutoff_ = 0.0;
 };

@@ -142,18 +142,12 @@ struct Traversal {
   // Lemma-5 pruning: everything weakly dominated by a pivot of the cell
   // scores below p throughout the cell.
   bool PivotDominated(const Mbr& box) const {
-    if (ctx->pivots == nullptr) return false;
-    for (const Vec& piv : *ctx->pivots) {
-      if (box.WeaklyDominatedBy(piv)) return true;
-    }
-    return false;
+    const PivotSet* pivots = ctx->pivots.get();
+    return pivots != nullptr && pivots->DominatesBox(box);
   }
   bool PivotDominated(const double* r) const {
-    if (ctx->pivots == nullptr) return false;
-    for (const Vec& piv : *ctx->pivots) {
-      if (WeaklyDominates(piv, r)) return true;
-    }
-    return false;
+    const PivotSet* pivots = ctx->pivots.get();
+    return pivots != nullptr && pivots->DominatesPoint(r);
   }
 
   // Both filters below only ever skip an entry, and a kBelow verdict

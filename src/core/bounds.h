@@ -18,6 +18,8 @@
 #ifndef KSPR_CORE_BOUNDS_H_
 #define KSPR_CORE_BOUNDS_H_
 
+#include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/dataset.h"
@@ -25,6 +27,7 @@
 #include "common/types.h"
 #include "common/vec.h"
 #include "core/options.h"
+#include "index/mbr.h"
 #include "index/rtree.h"
 #include "lp/feasibility.h"
 
@@ -33,6 +36,26 @@ namespace kspr {
 struct RankBounds {
   int lb = 1;
   int ub = 1;
+};
+
+/// BoundsContext's pivot slot: null, a borrowed PivotSet, or a PivotSet
+/// built from a caller's std::vector<Vec> and owned by the slot (and by
+/// its copies).
+class PivotSetRef {
+ public:
+  PivotSetRef() = default;
+  PivotSetRef(std::nullptr_t) {}
+  PivotSetRef(const PivotSet* set) : set_(set) {}
+  PivotSetRef(const std::vector<Vec>* pivots)
+      : owned_(pivots == nullptr ? nullptr
+                                 : std::make_shared<const PivotSet>(*pivots)),
+        set_(owned_.get()) {}
+
+  const PivotSet* get() const { return set_; }
+
+ private:
+  std::shared_ptr<const PivotSet> owned_;
+  const PivotSet* set_ = nullptr;
 };
 
 struct BoundsContext {
@@ -49,7 +72,7 @@ struct BoundsContext {
   /// to its defining set). Any record weakly dominated by a pivot scores
   /// below the pivot, hence below p, everywhere in the cell (Lemma 5) —
   /// the traversal skips such records and subtrees without any LP.
-  const std::vector<Vec>* pivots = nullptr;
+  PivotSetRef pivots;
 };
 
 /// Linear objective of the score S(x, w) over the preference space:

@@ -41,7 +41,8 @@ class ProgressiveEngine {
         store_(&data, p, space),
         cell_tree_(&store_, prep_.k_effective, &options, &result_.stats),
         dg_(&data),
-        processed_(static_cast<size_t>(data.size()), 0) {
+        processed_(static_cast<size_t>(data.size()), 0),
+        np_(static_cast<size_t>(data.size()), 0) {
     traversal_.executor = executor_;
     traversal_.min_cells_per_task = options.parallel.min_cells_per_task;
     defer_finalize_ = executor_ != nullptr && options.finalize_geometry;
@@ -165,9 +166,8 @@ class ProgressiveEngine {
     for (const HalfspaceRef& ref : leaf.path) {
       cons.push_back(store_.AsStrictIneq(ref));
     }
-    std::vector<Vec> pivots;
-    pivots.reserve(leaf.neg_records.size());
-    for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
+    thread_local PivotSet pivots;
+    pivots.Assign(data_, leaf.neg_records);
     BoundsContext ctx = bounds_ctx_;
     ctx.stats = stats;
     ctx.pivots = &pivots;
@@ -244,9 +244,8 @@ class ProgressiveEngine {
   // that are not mutated during the pass).
   Reportability CheckReportable(const CellTree::LeafInfo& leaf) {
     Reportability out;
-    std::vector<Vec> pivots;
-    pivots.reserve(leaf.neg_records.size() + 1);
-    for (RecordId rid : leaf.neg_records) pivots.push_back(data_.Get(rid));
+    thread_local PivotSet pivots;
+    pivots.Assign(data_, leaf.neg_records);
 
     // Witness caching: if the affecting record found for this leaf in a
     // previous batch is still unprocessed (pivot sets only grow via
@@ -255,19 +254,10 @@ class ProgressiveEngine {
     auto cached = unreportable_witness_.find(leaf.node_id);
     if (cached != unreportable_witness_.end()) {
       const RecordId w = cached->second;
-      if (!processed_[w]) {
-        bool dominated = false;
-        for (const Vec& piv : pivots) {
-          if (WeaklyDominates(piv, data_.Row(w))) {
-            dominated = true;
-            break;
-          }
-        }
-        if (!dominated) {
-          out.affecting = w;
-          out.from_cache = true;
-          return out;
-        }
+      if (!processed_[w] && !pivots.DominatesPoint(data_.Row(w))) {
+        out.affecting = w;
+        out.from_cache = true;
+        return out;
       }
     }
 
@@ -303,7 +293,6 @@ class ProgressiveEngine {
       }
     }
 
-    std::unordered_set<RecordId> np;  // union of non-pivot records
     std::unordered_set<RecordId> fallback;
     for (size_t i = 0; i < leaves.size(); ++i) {
       const CellTree::LeafInfo& leaf = leaves[i];
@@ -316,14 +305,21 @@ class ProgressiveEngine {
                    leaf.rank + prep_.num_dominators);
         continue;
       }
-      for (RecordId rid : leaf.pos_records) np.insert(rid);
+      for (RecordId rid : leaf.pos_records) {
+        if (!np_[rid]) {
+          np_[rid] = 1;
+          np_set_.push_back(rid);
+        }
+      }
       fallback.insert(check.affecting);
       if (!check.from_cache) {
         unreportable_witness_[leaf.node_id] = check.affecting;
       }
     }
 
-    std::vector<RecordId> batch = FilterBatch(Skyline(data_, rtree_, &np));
+    std::vector<RecordId> batch = FilterBatch(Skyline(data_, rtree_, &np_));
+    for (RecordId rid : np_set_) np_[rid] = 0;
+    np_set_.clear();
     if (batch.empty()) {
       // The recomputed skyline consists of processed pivots only; fall back
       // to the affecting records found by the reportability checks. This
@@ -352,6 +348,11 @@ class ProgressiveEngine {
   DominanceGraph dg_;
   BoundsContext bounds_ctx_;
   std::vector<char> processed_;  // by record id: inserted into the tree
+  // By record id: a non-pivot of some unreportable leaf in the current
+  // round (the Skyline exclusion set). Only the flags listed in np_set_
+  // are set, and they are cleared once the round's batch is picked.
+  std::vector<char> np_;
+  std::vector<RecordId> np_set_;
   // leaf node id -> last known unprocessed record affecting it.
   std::unordered_map<int, RecordId> unreportable_witness_;
 };

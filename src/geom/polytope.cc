@@ -8,36 +8,59 @@
 
 namespace kspr {
 
-bool SolveLinearSystem(int dim, std::vector<Vec> rows, Vec rhs, Vec* out) {
-  assert(static_cast<int>(rows.size()) == dim);
-  // Gaussian elimination with partial pivoting.
+namespace {
+
+// Fixed-size square system for SolveInPlace: row i of A is a[i][0..dim).
+struct System {
+  double a[kMaxDim][kMaxDim];
+  double rhs[kMaxDim];
+};
+
+// Gaussian elimination with partial pivoting on `sys` (overwritten);
+// writes x[0..dim). Returns false when (numerically) singular.
+bool SolveInPlace(int dim, System* sys, double* x) {
+  auto& a = sys->a;
+  double* rhs = sys->rhs;
   for (int col = 0; col < dim; ++col) {
     int piv = col;
-    double best = std::abs(rows[col][col]);
+    double best = std::abs(a[col][col]);
     for (int i = col + 1; i < dim; ++i) {
-      const double v = std::abs(rows[i][col]);
+      const double v = std::abs(a[i][col]);
       if (v > best) {
         best = v;
         piv = i;
       }
     }
     if (best < 1e-10) return false;
-    std::swap(rows[col], rows[piv]);
-    std::swap(rhs.v[col], rhs.v[piv]);
-    const double inv = 1.0 / rows[col][col];
+    std::swap(a[col], a[piv]);
+    std::swap(rhs[col], rhs[piv]);
+    const double inv = 1.0 / a[col][col];
     for (int i = col + 1; i < dim; ++i) {
-      const double f = rows[i][col] * inv;
+      const double f = a[i][col] * inv;
       if (f == 0.0) continue;
-      for (int j = col; j < dim; ++j) rows[i].v[j] -= f * rows[col].v[j];
-      rhs.v[i] -= f * rhs.v[col];
+      for (int j = col; j < dim; ++j) a[i][j] -= f * a[col][j];
+      rhs[i] -= f * rhs[col];
     }
   }
-  Vec x(dim);
   for (int i = dim - 1; i >= 0; --i) {
-    double s = rhs.v[i];
-    for (int j = i + 1; j < dim; ++j) s -= rows[i].v[j] * x.v[j];
-    x.v[i] = s / rows[i][i];
+    double s = rhs[i];
+    for (int j = i + 1; j < dim; ++j) s -= a[i][j] * x[j];
+    x[i] = s / a[i][i];
   }
+  return true;
+}
+
+}  // namespace
+
+bool SolveLinearSystem(int dim, std::vector<Vec> rows, Vec rhs, Vec* out) {
+  assert(static_cast<int>(rows.size()) == dim);
+  System sys{};
+  for (int i = 0; i < dim; ++i) {
+    for (int j = 0; j < dim; ++j) sys.a[i][j] = rows[i][j];
+    sys.rhs[i] = rhs[i];
+  }
+  Vec x(dim);
+  if (!SolveInPlace(dim, &sys, x.v.data())) return false;
   *out = x;
   return true;
 }
@@ -47,18 +70,21 @@ std::vector<LinIneq> RemoveRedundant(Space space, int dim,
                                      KsprStats* stats) {
   std::vector<LinIneq> kept = cons;
   // Test each constraint against the others (plus space bounds); remove
-  // as we go so duplicated constraints don't mask each other. The solver
-  // is fed the kept set with one index skipped instead of a freshly
-  // copied "all but i" vector per test.
+  // as we go so duplicated constraints don't mask each other. Every test
+  // at index i sees the kept rows 0..i-1 first, so the solver keeps their
+  // tableau as a prefix snapshot: test i copies it and appends only rows
+  // i+1.., and a kept row extends the prefix by one append.
   thread_local CellBoundSolver solver;
+  solver.BeginPrefix(space, dim);
   for (size_t i = 0; i < kept.size();) {
     if (stats != nullptr) ++stats->finalize_lps;
-    solver.Reset(space, dim, kept.data(), static_cast<int>(kept.size()),
-                 static_cast<int>(i));
+    solver.ResetFromPrefix(kept.data() + i + 1,
+                           static_cast<int>(kept.size() - i - 1));
     BoundResult r = solver.Maximize(kept[i].a, 0.0, /*stats=*/nullptr);
     if (r.ok && r.value <= kept[i].b + tol::kGeom) {
       kept.erase(kept.begin() + static_cast<long>(i));
     } else {
+      solver.ExtendPrefix(kept[i]);
       ++i;
     }
   }
@@ -102,15 +128,15 @@ std::vector<Vec> EnumerateVertices(Space space, int dim,
   std::vector<int> idx(dim);
   for (int i = 0; i < dim; ++i) idx[i] = i;
 
+  System sys{};
   auto process = [&]() {
-    std::vector<Vec> rows(dim);
-    Vec rhs(dim);
     for (int i = 0; i < dim; ++i) {
-      rows[i] = all[idx[i]].a;
-      rhs.v[i] = all[idx[i]].b;
+      const LinIneq& c = all[idx[i]];
+      for (int j = 0; j < dim; ++j) sys.a[i][j] = c.a.v[j];
+      sys.rhs[i] = c.b;
     }
-    Vec x;
-    if (!SolveLinearSystem(dim, std::move(rows), rhs, &x)) return;
+    Vec x(dim);
+    if (!SolveInPlace(dim, &sys, x.v.data())) return;
     if (!SatisfiesAll(all, x, tol::kGeom)) return;
     for (const Vec& v : vertices) {
       if (Distance(v, x) < tol::kGeom * 10) return;  // duplicate

@@ -1,81 +1,141 @@
 #include "index/bbs.h"
 
-#include <queue>
+#include <algorithm>
 
 namespace kspr {
 
 namespace {
 
+// One BBS heap entry: a record (its corner is its row) or an R-tree node
+// (its corner is the max corner of its resident entry summary). Kept at
+// 16 bytes, with corners looked up on demand, so heap sifts move little.
 struct HeapEntry {
-  double key;        // MaxSum of the entry; larger pops first
-  bool is_record;
-  int id;            // node id or (leaf position for records, see below)
-  RecordId rid = kInvalidRecord;
+  double key;    // CoordinateSum of the entry's corner
+  int code;      // record id, or ~node id (negative) for a node
+  int checked;   // Skyline: skyline records already tested at push time
 
-  bool operator<(const HeapEntry& o) const { return key < o.key; }
+  bool is_record() const { return code >= 0; }
+  int id() const { return is_record() ? code : ~code; }
 };
 
-// Pushes the children of `node` (records for leaves). Child keys come
-// from the resident entry summaries: no child page is fetched.
-void PushChildren(const Dataset& data, const RTree& tree,
-                  const RTree::Node& node, std::priority_queue<HeapEntry>* pq) {
-  if (node.leaf) {
-    for (RecordId rid : node.items) {
-      HeapEntry e;
-      e.is_record = true;
-      e.id = -1;
-      e.rid = rid;
-      // Vec::Sum over the row, in the same order.
-      const double* row = data.Row(rid);
-      e.key = 0.0;
-      for (int i = 0; i < data.dim(); ++i) e.key += row[i];
-      pq->push(e);
-    }
-  } else {
-    for (int c : node.items) {
-      HeapEntry e;
-      e.is_record = false;
-      e.id = c;
-      e.key = tree.EntryMbr(c).MaxSum();
-      pq->push(e);
-    }
+// The total pop order documented in bbs.h: as a heap "less than", a < b
+// iff b pops before a.
+struct PopsAfter {
+  const Dataset* data;
+  const RTree* tree;
+
+  const double* Corner(const HeapEntry& e) const {
+    return e.is_record() ? data->Row(e.code)
+                         : tree->EntryMbr(~e.code).hi.v.data();
   }
-}
+  bool operator()(const HeapEntry& a, const HeapEntry& b) const {
+    if (a.key != b.key) [[likely]] return a.key < b.key;
+    return TieBreak(a, b);
+  }
+
+  // Equal keys are rare. Kept out of line: inlined, this path slowed the
+  // heap's sift loops measurably.
+  [[gnu::noinline]] bool TieBreak(const HeapEntry& a,
+                                  const HeapEntry& b) const {
+    const double* ca = Corner(a);
+    const double* cb = Corner(b);
+    for (int i = 0; i < data->dim(); ++i) {
+      if (ca[i] != cb[i]) return ca[i] < cb[i];
+    }
+    if (a.is_record() != b.is_record()) return a.is_record();
+    return a.id() > b.id();
+  }
+};
+
+// Max-heap over thread_local storage, so repeated BBS runs on one thread
+// reuse its capacity. Not reentrant: one heap per thread at a time.
+class BbsHeap {
+ public:
+  BbsHeap(const Dataset& data, const RTree& tree)
+      : order_{&data, &tree}, v_(Storage()) {
+    v_.clear();
+  }
+
+  bool empty() const { return v_.empty(); }
+
+  void PushRecord(RecordId rid, int checked) {
+    Push(HeapEntry{CoordinateSum(order_.data->Row(rid), order_.data->dim()),
+                   rid, checked});
+  }
+  void PushNode(int id, int checked) {
+    Push(HeapEntry{order_.tree->EntryMbr(id).MaxSum(), ~id, checked});
+  }
+
+  HeapEntry Pop() {
+    std::pop_heap(v_.begin(), v_.end(), order_);
+    const HeapEntry e = v_.back();
+    v_.pop_back();
+    return e;
+  }
+
+  const double* Corner(const HeapEntry& e) const { return order_.Corner(e); }
+
+ private:
+  void Push(const HeapEntry& e) {
+    v_.push_back(e);
+    std::push_heap(v_.begin(), v_.end(), order_);
+  }
+
+  static std::vector<HeapEntry>& Storage() {
+    thread_local std::vector<HeapEntry> storage;
+    return storage;
+  }
+
+  PopsAfter order_;
+  std::vector<HeapEntry>& v_;
+};
 
 }  // namespace
 
 std::vector<RecordId> Skyline(const Dataset& data, const RTree& tree,
-                              const std::unordered_set<RecordId>* exclude) {
+                              const std::vector<char>* exclude) {
   std::vector<RecordId> sky;
   if (tree.empty()) return sky;
 
   const int d = data.dim();
-  auto dominated = [&](const double* v) {
-    for (RecordId s : sky) {
-      if (Dataset::Dominates(data.Row(s), v, d)) return true;
+  // The skyline's rows, d doubles per record, in `sky` order.
+  thread_local std::vector<double> sky_rows;
+  sky_rows.clear();
+  // True iff a skyline record at index `from` or later dominates v.
+  auto dominated = [&](const double* v, int from) {
+    const size_t stride = static_cast<size_t>(d);
+    for (size_t off = static_cast<size_t>(from) * stride;
+         off < sky_rows.size(); off += stride) {
+      if (Dataset::Dominates(&sky_rows[off], v, d)) return true;
     }
     return false;
   };
 
-  std::priority_queue<HeapEntry> pq;
-  {
-    HeapEntry e;
-    e.is_record = false;
-    e.id = tree.root();
-    e.key = tree.EntryMbr(tree.root()).MaxSum();
-    pq.push(e);
-  }
-  while (!pq.empty()) {
-    HeapEntry e = pq.top();
-    pq.pop();
-    if (e.is_record) {
-      if (dominated(data.Row(e.rid))) continue;
-      if (exclude != nullptr && exclude->contains(e.rid)) continue;
-      sky.push_back(e.rid);
+  BbsHeap heap(data, tree);
+  heap.PushNode(tree.root(), /*checked=*/0);
+  while (!heap.empty()) {
+    const HeapEntry e = heap.Pop();
+    const double* corner = heap.Corner(e);
+    if (dominated(corner, e.checked)) continue;
+    if (e.is_record()) {
+      sky.push_back(e.code);
+      sky_rows.insert(sky_rows.end(), corner, corner + d);
+      continue;
+    }
+    // Only nodes that survive their entry-summary test are fetched.
+    const RTree::Node& node = tree.Fetch(e.id());
+    const int checked = static_cast<int>(sky.size());
+    if (node.leaf) {
+      for (RecordId rid : node.items) {
+        if (exclude != nullptr && (*exclude)[rid]) continue;
+        if (dominated(data.Row(rid), 0)) continue;
+        heap.PushRecord(rid, checked);
+      }
     } else {
-      // Decided from the entry summary; only survivors are fetched.
-      if (dominated(tree.EntryMbr(e.id).hi.v.data())) continue;
-      PushChildren(data, tree, tree.Fetch(e.id), &pq);
+      for (int c : node.items) {
+        if (dominated(tree.EntryMbr(c).hi.v.data(), 0)) continue;
+        heap.PushNode(c, checked);
+      }
     }
   }
   return sky;
@@ -94,22 +154,21 @@ std::vector<RecordId> KSkyband(const Dataset& data, const RTree& tree, int k) {
     return cnt;
   };
 
-  std::priority_queue<HeapEntry> pq;
-  {
-    HeapEntry e;
-    e.is_record = false;
-    e.id = tree.root();
-    e.key = tree.EntryMbr(tree.root()).MaxSum();
-    pq.push(e);
-  }
-  while (!pq.empty()) {
-    HeapEntry e = pq.top();
-    pq.pop();
-    if (e.is_record) {
-      if (dominator_count(data.Row(e.rid)) < k) band.push_back(e.rid);
+  BbsHeap heap(data, tree);
+  heap.PushNode(tree.root(), /*checked=*/0);
+  while (!heap.empty()) {
+    const HeapEntry e = heap.Pop();
+    if (dominator_count(heap.Corner(e)) >= k) continue;
+    if (e.is_record()) {
+      band.push_back(e.code);
+      continue;
+    }
+    // Decided from the entry summary; only survivors are fetched.
+    const RTree::Node& node = tree.Fetch(e.id());
+    if (node.leaf) {
+      for (RecordId rid : node.items) heap.PushRecord(rid, /*checked=*/0);
     } else {
-      if (dominator_count(tree.EntryMbr(e.id).hi.v.data()) >= k) continue;
-      PushChildren(data, tree, tree.Fetch(e.id), &pq);
+      for (int c : node.items) heap.PushNode(c, /*checked=*/0);
     }
   }
   return band;
@@ -124,7 +183,7 @@ int CountDominators(const Dataset& data, RecordId r) {
 }
 
 bool ExistsUnprocessedNotDominated(
-    const Dataset& data, const RTree& tree, const std::vector<Vec>& pivots,
+    const Dataset& data, const RTree& tree, const PivotSet& pivots,
     const std::vector<char>& processed,
     const std::vector<char>* skip, RecordId* witness) {
   if (tree.empty()) return false;
@@ -135,29 +194,13 @@ bool ExistsUnprocessedNotDominated(
     // Prune: some pivot weakly dominates the whole box (Lemma 5 -- no
     // record inside can change the cell's rank or extent). Decided from
     // the entry summary, so a pruned subtree's page is never fetched.
-    const Mbr& box = tree.EntryMbr(id);
-    bool pruned = false;
-    for (const Vec& piv : pivots) {
-      if (box.WeaklyDominatedBy(piv)) {
-        pruned = true;
-        break;
-      }
-    }
-    if (pruned) continue;
+    if (pivots.DominatesBox(tree.EntryMbr(id))) continue;
     const RTree::Node& node = tree.Fetch(id);
     if (node.leaf) {
       for (RecordId rid : node.items) {
         if (processed[rid]) continue;
         if (skip != nullptr && (*skip)[rid]) continue;
-        const double* v = data.Row(rid);
-        bool dom = false;
-        for (const Vec& piv : pivots) {
-          if (WeaklyDominates(piv, v)) {
-            dom = true;
-            break;
-          }
-        }
-        if (!dom) {
+        if (!pivots.DominatesPoint(data.Row(rid))) {
           if (witness != nullptr) *witness = rid;
           return true;
         }

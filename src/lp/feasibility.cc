@@ -434,43 +434,63 @@ FeasibilityResult CellLpContext::TestCurrent(KsprStats* stats) {
 // ---------------------------------------------------------------------------
 // CellBoundSolver
 
-void CellBoundSolver::Reset(Space space, int dim, const LinIneq* cons, int n,
-                            int skip) {
+bool CellBoundSolver::InitSpaceTableau(Space space, int dim,
+                                       lp::WarmTableau* tab) {
   space_ = space;
   dim_ = dim;
   rows_.Reset(dim);
   AddBoundSpaceRows(&rows_, space, dim);
-  const int space_rows = rows_.size();
-  for (int i = 0; i < n; ++i) {
-    if (i == skip) continue;
-    if (cons[i].a.NormL2() < tol::kPivot) continue;  // trivial row
-    double* row = rows_.AddRow(cons[i].b);
-    for (int j = 0; j < dim; ++j) row[j] = cons[i].a.v[j];
-  }
-
   // Warm build: the space rows have non-negative rhs, so a zero-objective
   // tableau starts optimal (all reduced costs zero) and stays dual
   // feasible while every cell row is dual-appended. The result is a primal
   // feasible basis that every subsequent objective re-optimises from.
   obj_scratch_.assign(static_cast<size_t>(dim), 0.0);
-  thread_local lp::ConstraintBuffer base_rows;
-  base_rows.Reset(dim);
-  for (int i = 0; i < space_rows; ++i) {
-    double* row = base_rows.AddRow(rows_.rhs(i));
-    const double* src = rows_.Row(i);
-    for (int j = 0; j < dim; ++j) row[j] = src[j];
+  return tab->InitFromFeasibleRows(dim, obj_scratch_.data(), rows_) ==
+         lp::Status::kOptimal;
+}
+
+void CellBoundSolver::AppendCellRow(const LinIneq& c, lp::WarmTableau* tab,
+                                    bool* warm) {
+  if (c.a.NormL2() < tol::kPivot) return;  // trivial row
+  double* row = rows_.AddRow(c.b);
+  for (int j = 0; j < dim_; ++j) row[j] = c.a.v[j];
+  if (!*warm) return;
+  // Any non-optimal status — including a dual-simplex kInfeasible, which
+  // on a thin-but-nonempty cell can be a numerically spurious verdict —
+  // demotes the solver to the cold path: per-query two-phase solves then
+  // decide feasibility with the same tolerances the one-shot path uses.
+  if (tab->AddRowReoptimize(row, dim_, c.b) != lp::Status::kOptimal) {
+    *warm = false;
   }
-  warm_ = tab_.InitFromFeasibleRows(dim, obj_scratch_.data(), base_rows) ==
-          lp::Status::kOptimal;
-  for (int i = space_rows; warm_ && i < rows_.size(); ++i) {
-    const lp::Status s = tab_.AddRowReoptimize(rows_.Row(i), dim,
-                                               rows_.rhs(i));
-    // Any non-optimal status — including a dual-simplex kInfeasible, which
-    // on a thin-but-nonempty cell can be a numerically spurious verdict —
-    // demotes the solver to the cold path: per-query two-phase solves then
-    // decide feasibility with the same tolerances the one-shot path uses.
-    if (s != lp::Status::kOptimal) warm_ = false;
+}
+
+void CellBoundSolver::Reset(Space space, int dim, const LinIneq* cons, int n,
+                            int skip) {
+  prefix_rows_ = -1;
+  warm_ = InitSpaceTableau(space, dim, &tab_);
+  for (int i = 0; i < n; ++i) {
+    if (i != skip) AppendCellRow(cons[i], &tab_, &warm_);
   }
+}
+
+void CellBoundSolver::BeginPrefix(Space space, int dim) {
+  prefix_warm_ = InitSpaceTableau(space, dim, &prefix_tab_);
+  prefix_rows_ = rows_.size();
+}
+
+void CellBoundSolver::ExtendPrefix(const LinIneq& c) {
+  assert(prefix_rows_ >= 0);
+  rows_.Truncate(prefix_rows_);
+  AppendCellRow(c, &prefix_tab_, &prefix_warm_);
+  prefix_rows_ = rows_.size();
+}
+
+void CellBoundSolver::ResetFromPrefix(const LinIneq* rest, int n) {
+  assert(prefix_rows_ >= 0);
+  rows_.Truncate(prefix_rows_);
+  warm_ = prefix_warm_;
+  if (warm_) tab_.CopyFrom(prefix_tab_);
+  for (int i = 0; i < n; ++i) AppendCellRow(rest[i], &tab_, &warm_);
 }
 
 BoundResult CellBoundSolver::SolveObjective(const Vec& obj, double obj_const,

@@ -198,27 +198,54 @@ class CellLpContext {
 /// is built once per Reset and every Minimize/Maximize re-optimises from
 /// the previous basis after an objective reload. Falls back to the cold
 /// solver per call on numerical trouble, so results are always available.
+///
+/// Prefix snapshots (redundancy elimination). BeginPrefix, ExtendPrefix
+/// and ResetFromPrefix bind the solver to (prefix rows + rest) with the
+/// same operations, in the same order, as Reset over those rows would
+/// run: the zero-objective tableau of the space rows plus the prefix rows
+/// is kept as a snapshot, and each ResetFromPrefix copies it and appends
+/// only `rest`. A prefix row whose append is not optimal demotes every
+/// later ResetFromPrefix to the cold path, exactly where Reset would have
+/// demoted. Reset discards the prefix.
 class CellBoundSolver {
  public:
   /// Binds the solver to the closed cell (cons + space bounds). `skip`
-  /// omits one constraint index (used by redundancy elimination); pass -1
-  /// to keep all. Zero-norm rows are dropped exactly like the one-shot
-  /// bound path does.
+  /// omits one constraint index; pass -1 to keep all. Zero-norm rows are
+  /// dropped exactly like the one-shot bound path does.
   void Reset(Space space, int dim, const LinIneq* cons, int n, int skip = -1);
+
+  /// Starts a prefix holding the space rows only.
+  void BeginPrefix(Space space, int dim);
+  /// Appends `c` to the prefix (a zero-norm row is dropped, as in Reset).
+  void ExtendPrefix(const LinIneq& c);
+  /// Binds the solver to the closed cell (prefix rows + rest + space
+  /// bounds), bit for bit as Reset over the prefix rows followed by rest.
+  void ResetFromPrefix(const LinIneq* rest, int n);
 
   BoundResult Minimize(const Vec& obj, double obj_const, KsprStats* stats);
   BoundResult Maximize(const Vec& obj, double obj_const, KsprStats* stats);
 
  private:
+  // Sets rows_ to the space rows and builds `tab` over them with a zero
+  // objective; returns whether that tableau is optimal.
+  bool InitSpaceTableau(Space space, int dim, lp::WarmTableau* tab);
+  // Appends the non-trivial row `c` to rows_ and, while *warm, dual-appends
+  // it to `tab`; a non-optimal append clears *warm.
+  void AppendCellRow(const LinIneq& c, lp::WarmTableau* tab, bool* warm);
   BoundResult SolveObjective(const Vec& obj, double obj_const, bool maximize,
                              KsprStats* stats);
 
   Space space_ = Space::kTransformed;
   int dim_ = 0;
-  bool warm_ = false;  // tableau holds a feasible basis
+  bool warm_ = false;  // tab_ holds a feasible basis
   lp::WarmTableau tab_;
   lp::ConstraintBuffer rows_;  // space rows + cell rows (cold fallback)
   std::vector<double> obj_scratch_;
+  // Prefix snapshot: its rows are rows_[0, prefix_rows_), and prefix_tab_
+  // is their zero-objective tableau while prefix_warm_.
+  lp::WarmTableau prefix_tab_;
+  bool prefix_warm_ = false;
+  int prefix_rows_ = -1;  // -1: no prefix
 };
 
 }  // namespace kspr

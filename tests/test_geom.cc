@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include "geom/hyperplane.h"
 #include "geom/polytope.h"
 #include "geom/volume.h"
+#include "reference_remove_redundant.h"
 
 namespace kspr {
 namespace {
@@ -190,6 +193,121 @@ TEST(Redundancy, SpaceBoundsMakeEverythingRedundant) {
   // w0 < 2 can never bind inside the simplex.
   std::vector<LinIneq> cons = {Ineq({1, 0}, 2.0)};
   EXPECT_TRUE(RemoveRedundant(Space::kTransformed, 2, cons, nullptr).empty());
+}
+
+// The prefix-snapshot RemoveRedundant against the per-skip Reset oracle
+// (reference_remove_redundant.h): the same kept rows, bit for bit, and the
+// same finalize LP count.
+bool SameBits(double x, double y) {
+  return std::memcmp(&x, &y, sizeof(double)) == 0;
+}
+
+void ExpectSameAsOracle(Space space, int dim,
+                        const std::vector<LinIneq>& cons,
+                        const std::string& label) {
+  KsprStats got_stats;
+  KsprStats want_stats;
+  const std::vector<LinIneq> got = RemoveRedundant(space, dim, cons,
+                                                   &got_stats);
+  const std::vector<LinIneq> want =
+      reference::RemoveRedundantPerSkip(space, dim, cons, &want_stats);
+  EXPECT_EQ(got_stats.finalize_lps, want_stats.finalize_lps) << label;
+  ASSERT_EQ(got.size(), want.size()) << label;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].a.dim, want[i].a.dim) << label << " row " << i;
+    for (int j = 0; j < got[i].a.dim; ++j) {
+      EXPECT_TRUE(SameBits(got[i].a.v[j], want[i].a.v[j]))
+          << label << " row " << i << " coefficient " << j;
+    }
+    EXPECT_TRUE(SameBits(got[i].b, want[i].b)) << label << " row " << i;
+  }
+}
+
+// A random constraint set around an interior point, salted with the inputs
+// redundancy elimination must get right: zero-norm rows, exact duplicates,
+// 1-ulp near-duplicates and rows no point of the space can violate.
+std::vector<LinIneq> RandomRedundancyCase(int dim, Rng* rng) {
+  Vec centre(dim);
+  for (int j = 0; j < dim; ++j) centre.v[j] = rng->Uniform(0.05, 0.9 / dim);
+  const int m = 3 + static_cast<int>(rng->UniformInt(12));
+  std::vector<LinIneq> cons;
+  for (int i = 0; i < m; ++i) {
+    const uint64_t kind = cons.empty() ? 0 : rng->UniformInt(6);
+    LinIneq c;
+    c.a = Vec(dim);
+    if (kind == 1) {
+      c.b = rng->Uniform() < 0.8 ? 0.5 : -0.25;  // zero-norm row
+    } else if (kind == 2) {
+      c = cons[rng->UniformInt(cons.size())];  // exact duplicate
+    } else if (kind == 3) {
+      c = cons[rng->UniformInt(cons.size())];  // 1-ulp near-duplicate
+      if (rng->Uniform() < 0.5) {
+        c.b = std::nextafter(c.b, rng->Uniform() < 0.5 ? 10.0 : -10.0);
+      } else {
+        const int j = static_cast<int>(rng->UniformInt(dim));
+        c.a.v[j] = std::nextafter(c.a.v[j], 10.0);
+      }
+    } else if (kind == 4) {
+      c.b = 1.0;  // never binds inside the unit box
+      for (int j = 0; j < dim; ++j) {
+        c.a.v[j] = rng->Uniform(-1, 1);
+        c.b += std::abs(c.a.v[j]);
+      }
+    } else {
+      for (int j = 0; j < dim; ++j) c.a.v[j] = rng->Uniform(-1, 1);
+      c.b = c.a.Dot(centre) + rng->Uniform(0.0, 0.2);
+    }
+    cons.push_back(c);
+  }
+  return cons;
+}
+
+TEST(Redundancy, PrefixSnapshotMatchesPerSkipOracle) {
+  for (Space space : {Space::kTransformed, Space::kOriginal}) {
+    for (int dim = 2; dim <= 5; ++dim) {
+      Rng rng(1000 * dim + (space == Space::kOriginal ? 7 : 0));
+      for (int trial = 0; trial < 60; ++trial) {
+        ExpectSameAsOracle(space, dim, RandomRedundancyCase(dim, &rng),
+                           "space " + std::to_string(static_cast<int>(space)) +
+                               " dim " + std::to_string(dim) + " trial " +
+                               std::to_string(trial));
+      }
+    }
+  }
+}
+
+TEST(Redundancy, AllRedundantCellMatchesOracle) {
+  for (Space space : {Space::kTransformed, Space::kOriginal}) {
+    std::vector<LinIneq> cons = {Ineq({1, 0, 0}, 3.0), Ineq({0, 1, 0}, 2.0),
+                                 Ineq({1, 1, 1}, 5.0), Ineq({1, 0, 0}, 3.0)};
+    EXPECT_TRUE(RemoveRedundant(space, 3, cons, nullptr).empty());
+    ExpectSameAsOracle(space, 3, cons, "all redundant");
+  }
+}
+
+// Row 0 is kept (the other rows allow w0 up to 0.8) but no point of the
+// closed simplex satisfies w0 <= -0.5, so its prefix append is not optimal
+// (the dual simplex reports infeasible) and every later test runs cold.
+TEST(Redundancy, NonOptimalPrefixAppendMatchesOracle) {
+  const std::vector<LinIneq> cons = {Ineq({1, 0}, -0.5), Ineq({0, 1}, 0.5),
+                                     Ineq({1, 1}, 0.8), Ineq({0, 1}, 0.9)};
+  ExpectSameAsOracle(Space::kTransformed, 2, cons, "cold prefix");
+
+  CellBoundSolver prefix;
+  prefix.BeginPrefix(Space::kTransformed, 2);
+  prefix.ExtendPrefix(cons[0]);
+  prefix.ResetFromPrefix(cons.data() + 1, 3);
+  CellBoundSolver reset;
+  reset.Reset(Space::kTransformed, 2, cons.data(), 4);
+  KsprStats prefix_stats;
+  KsprStats reset_stats;
+  const BoundResult a = prefix.Maximize(Vec{0, 1}, 0.0, &prefix_stats);
+  const BoundResult b = reset.Maximize(Vec{0, 1}, 0.0, &reset_stats);
+  EXPECT_EQ(prefix_stats.lp_cold_starts, 1);
+  EXPECT_EQ(prefix_stats.lp_warm_starts, 0);
+  EXPECT_EQ(reset_stats.lp_cold_starts, 1);
+  EXPECT_EQ(a.ok, b.ok);
+  EXPECT_TRUE(SameBits(a.value, b.value));
 }
 
 TEST(StrictlyInside, RespectsConstraintsAndSpace) {
