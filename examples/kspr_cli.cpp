@@ -307,8 +307,8 @@ int main(int argc, char** argv) {
        !load_path.empty() || !save_path.empty())) {
     std::fprintf(stderr,
                  "--shards combines with --updates/--subscribe only (the "
-                 "router schedules its own per-shard engines; snapshots use "
-                 "per-shard files)\n");
+                 "router runs one queue thread per shard and solves every "
+                 "query itself; snapshots use per-shard files)\n");
     return 1;
   }
   if (transport != "local" && transport != "socket") {

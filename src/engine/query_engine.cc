@@ -206,10 +206,48 @@ QueryResponse QueryEngine::Execute(const QueryRequest& request, int worker) {
   return response;
 }
 
-UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
+UpdateResult ApplyMutationBatch(Dataset* data, RTree* index,
+                                IndexUpdatePolicy policy,
+                                const UpdateBatch& batch,
+                                std::vector<Vec>* delta,
+                                std::vector<RecordId>* deleted_ids) {
   UpdateResult out;
-  if (mutable_data_ == nullptr) return out;  // read-only engine
   out.applied = true;
+  const bool incremental = policy == IndexUpdatePolicy::kIncremental;
+  for (RecordId id : batch.deletes) {
+    if (!data->IsLive(id)) continue;  // unknown or already-deleted id: no-op
+    if (delta != nullptr) delta->push_back(data->Get(id));
+    if (incremental) index->Delete(*data, id);
+    data->Delete(id);
+    if (deleted_ids != nullptr) deleted_ids->push_back(id);
+    ++out.deletes_applied;
+  }
+  out.inserted_ids.reserve(batch.inserts.size());
+  for (const Vec& v : batch.inserts) {
+    assert(v.dim == data->dim());
+    const RecordId id = data->Insert(v);
+    out.inserted_ids.push_back(id);
+    if (incremental) index->Insert(*data, id);
+    if (delta != nullptr) delta->push_back(v);
+  }
+  if (!incremental) {
+    PageTracker* tracker = index->tracker();
+    *index = RTree::BulkLoad(*data, index->leaf_capacity(), index->fanout());
+    if (tracker != nullptr) {
+      // Every node page of the discarded tree is gone, and the rebuilt
+      // tree recycles the same ids — flush the residency so stale pages
+      // cannot serve phantom buffer hits.
+      tracker->RetireAll();
+      index->SetTracker(tracker);
+    }
+    out.index_rebuilt = true;
+  }
+  out.version = data->version();
+  return out;
+}
+
+UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
+  if (mutable_data_ == nullptr) return UpdateResult{};  // read-only engine
 
   // Writer side of the quiesce: waits for all in-flight queries, blocks
   // new ones until the batch (and the cache sweep) is done.
@@ -220,53 +258,22 @@ UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   // this the one safe point; no-op after the first batch.
   if (storage_ != nullptr) storage_->PrepareForUpdates();
 
-  Dataset& data = *mutable_data_;
-  RTree& index = *mutable_index_;
-  const bool incremental =
-      update_policy_ == IndexUpdatePolicy::kIncremental;
-
   // Values of every record entering or leaving the live set — the inputs
   // of the targeted cache sweep (delete values captured pre-tombstone).
   std::vector<Vec> delta;
   delta.reserve(batch.inserts.size() + batch.deletes.size());
   std::vector<RecordId> deleted_ids;
-
-  for (RecordId id : batch.deletes) {
-    if (!data.IsLive(id)) continue;  // unknown or already-deleted id: no-op
-    delta.push_back(data.Get(id));
-    if (incremental) index.Delete(data, id);
-    data.Delete(id);
-    deleted_ids.push_back(id);
-    ++out.deletes_applied;
-  }
-  out.inserted_ids.reserve(batch.inserts.size());
-  for (const Vec& v : batch.inserts) {
-    assert(v.dim == data.dim());
-    const RecordId id = data.Insert(v);
-    out.inserted_ids.push_back(id);
-    if (incremental) index.Insert(data, id);
-    delta.push_back(v);
-  }
-  if (!incremental) {
-    PageTracker* tracker = index.tracker();
-    index = RTree::BulkLoad(data, index.leaf_capacity(), index.fanout());
-    if (tracker != nullptr) {
-      // Every node page of the discarded tree is gone, and the rebuilt
-      // tree recycles the same ids — flush the residency so stale pages
-      // cannot serve phantom buffer hits.
-      tracker->RetireAll();
-      index.SetTracker(tracker);
-    }
-    out.index_rebuilt = true;
-  }
-  out.version = data.version();
+  UpdateResult out = ApplyMutationBatch(mutable_data_, mutable_index_,
+                                        update_policy_, batch, &delta,
+                                        &deleted_ids);
+  const Dataset& data = *mutable_data_;
 
   // A batch with no effective mutation (empty, or deletes of unknown /
   // already-dead ids) leaves the version unchanged; running the sweeps
   // anyway would restamp every cache entry to its own version and count
   // the whole cache as retained again — back-to-back no-op batches would
   // inflate cache_retained without a single record changing.
-  if (delta.empty() && deleted_ids.empty()) {
+  if (delta.empty()) {
     stats_.RecordUpdate(0, 0, 0, 0);
     return out;
   }

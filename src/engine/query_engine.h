@@ -22,10 +22,9 @@
 // stats stay bitwise-identical to a from-scratch run (core/amortized.h).
 //
 // Scaling beyond one engine: the sharded tier (shard/shard_router.h)
-// runs one QueryEngine per shard worker — ApplyUpdates below IS the
-// per-shard delta path of ShardRouter::ApplyUpdates, so every quiesce,
-// version-stamp and cache-restamp guarantee documented here carries over
-// to the distributed deployment unchanged.
+// keeps no engine per shard — each worker applies its slice of a batch
+// through ApplyMutationBatch below, the mutation half of ApplyUpdates,
+// and the router runs its own cache and subscription sweeps.
 //
 // Usage:
 //   kspr::QueryEngine engine(&data, &index, {.workers = 4});
@@ -157,6 +156,19 @@ struct UpdateResult {
   size_t subscribers_notified = 0;    // diff events delivered
   size_t subscribers_terminated = 0;  // focal record deleted by this batch
 };
+
+/// The mutation half of an update batch, shared by QueryEngine::ApplyUpdates
+/// and ShardWorker::ApplyDelta: tombstones the live ids of `batch.deletes`,
+/// appends `batch.inserts`, maintains `index` per `policy` and fills the
+/// non-sweep fields of the result. Optional outputs: `delta` gets the value
+/// of every record entering or leaving the live set (deletes captured
+/// pre-tombstone), `deleted_ids` the tombstoned ids. The caller keeps
+/// readers out and materialises a disk-backed tree first.
+UpdateResult ApplyMutationBatch(Dataset* data, RTree* index,
+                                IndexUpdatePolicy policy,
+                                const UpdateBatch& batch,
+                                std::vector<Vec>* delta = nullptr,
+                                std::vector<RecordId>* deleted_ids = nullptr);
 
 class QueryEngine {
  public:

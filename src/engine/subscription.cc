@@ -19,9 +19,9 @@ const char* ToString(SubscriptionEventKind kind) {
   return "?";
 }
 
-void SubscriptionManager::Emit(const Subscriber& sub,
-                               SubscriptionEventKind kind, uint64_t version,
-                               ResultDiff diff) const {
+void EmitSubscriptionEvent(const StandingQuery& sub,
+                           SubscriptionEventKind kind, uint64_t version,
+                           ResultDiff diff) {
   if (!sub.callback) return;
   SubscriptionEvent event;
   event.subscription = sub.id;
@@ -52,8 +52,9 @@ SubscriptionId SubscriptionManager::Subscribe(const Vec& focal,
   const SubscriptionId id = sub->id;
   // The initial event is emitted even when the region set is empty: it
   // carries the version and establishes the replay base state.
-  Emit(*sub, SubscriptionEventKind::kInitial, data_->version(),
-       DiffResults(KsprResult{}, sub->current));
+  EmitSubscriptionEvent(*sub, SubscriptionEventKind::kInitial,
+                        data_->version(),
+                        DiffResults(KsprResult{}, sub->current));
   if (stats_ != nullptr) {
     stats_->RecordSubscriptionRegistered();
     stats_->RecordSubscriptionEvent();
@@ -93,7 +94,8 @@ SubscriptionManager::SweepStats SubscriptionManager::OnUpdates(
     // never keep serving its last region set as if it were current.
     if (sub.focal_id != kInvalidRecord && !data_->IsLive(sub.focal_id)) {
       sub.current = KsprResult{};
-      Emit(sub, SubscriptionEventKind::kFocalGone, version, ResultDiff{});
+      EmitSubscriptionEvent(sub, SubscriptionEventKind::kFocalGone, version,
+                            ResultDiff{});
       ++sweep.focal_gone;
       ++sweep.events;
       it = subs_.erase(it);
@@ -145,10 +147,10 @@ SubscriptionManager::SweepStats SubscriptionManager::OnUpdates(
     ResultDiff diff = DiffResults(sub.current, next);
     sub.current = std::move(next);
     if (!diff.Empty()) {
-      Emit(sub,
-           rebuild ? SubscriptionEventKind::kRebuild
-                   : SubscriptionEventKind::kDelta,
-           version, std::move(diff));
+      EmitSubscriptionEvent(sub,
+                            rebuild ? SubscriptionEventKind::kRebuild
+                                    : SubscriptionEventKind::kDelta,
+                            version, std::move(diff));
       ++sweep.events;
     }
     ++it;

@@ -92,6 +92,25 @@ struct SubscriptionEvent {
 // QueryEngine or the manager — doing so deadlocks.
 using SubscriptionCallback = std::function<void(const SubscriptionEvent&)>;
 
+/// One standing query as both tiers keep it: SubscriptionManager (below)
+/// and ShardRouter (shard/shard_router.h).
+struct StandingQuery {
+  SubscriptionId id = kInvalidSubscription;
+  Vec focal;
+  RecordId focal_id = kInvalidRecord;
+  KsprOptions options;
+  KsprResult current;  // last emitted state (diff-replay target)
+  SubscriptionCallback callback;
+};
+
+/// The one event builder of both tiers: delivers `diff` as a `kind` event
+/// stamped `version` to `sub.callback` (no-op without one). `num_regions`
+/// is read from `sub.current`, which must already hold the post-diff state
+/// (empty for kFocalGone).
+void EmitSubscriptionEvent(const StandingQuery& sub,
+                           SubscriptionEventKind kind, uint64_t version,
+                           ResultDiff diff);
+
 class SubscriptionManager {
  public:
   /// Tallies of one OnUpdates sweep across all subscribers.
@@ -140,20 +159,9 @@ class SubscriptionManager {
   size_t size() const;
 
  private:
-  struct Subscriber {
-    SubscriptionId id = kInvalidSubscription;
-    Vec focal;
-    RecordId focal_id = kInvalidRecord;
-    KsprOptions options;
+  struct Subscriber : StandingQuery {
     std::unique_ptr<AmortizedCta> ctx;
-    KsprResult current;  // last emitted state (replay target)
-    SubscriptionCallback callback;
   };
-
-  // Delivers one event to `sub`'s callback. Runs under mu_ — part of the
-  // callback re-entrancy contract documented on SubscriptionCallback.
-  void Emit(const Subscriber& sub, SubscriptionEventKind kind,
-            uint64_t version, ResultDiff diff) const KSPR_REQUIRES(mu_);
 
   const Dataset* data_;
   EngineStats* stats_;

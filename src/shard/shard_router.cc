@@ -60,9 +60,6 @@ std::unique_ptr<ShardRouter> ShardRouter::CreateLocal(const Dataset& data,
 std::unique_ptr<ShardRouter> ShardRouter::Create(const Dataset& data,
                                                  RouterOptions options) {
   ShardMap map(options.num_shards);
-  // The transport already runs shards in parallel; per-shard engines
-  // default to a single worker thread unless the caller asked otherwise.
-  if (options.worker.engine.workers <= 0) options.worker.engine.workers = 1;
   if (!options.stats) options.stats = std::make_shared<TransportStats>();
   std::vector<Dataset> slices = PartitionDataset(data, map);
   std::vector<std::unique_ptr<ShardWorker>> workers;
@@ -399,7 +396,7 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
 
   // Phase 3 — gather. A shard that fails after the transport's full
   // retry budget gets its slice queued for replay; the batch is
-  // all-or-nothing per shard (one engine ApplyUpdates call worker-side).
+  // all-or-nothing per shard (one ApplyDelta call worker-side).
   size_t effective = 0;
   std::map<int, std::vector<Candidate>> changed;
   for (int k : ks) changed[k];  // every tracked k present, even if empty
@@ -470,17 +467,14 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   bool sweep_clean = !degraded;
   MutexLock subs_lock(&subs_mu_);
   for (size_t i = 0; i < subs_.size();) {
-    RouterSubscription& sub = *subs_[i];
+    StandingQuery& sub = *subs_[i];
     ++out.subscribers_examined;
     if (delete_set.contains(sub.focal_id)) {
       // The focal's tombstone may still be queued behind a failed shard,
       // but it is logically deleted as of this batch: terminate now.
-      SubscriptionEvent event;
-      event.subscription = sub.id;
-      event.focal_id = sub.focal_id;
-      event.kind = SubscriptionEventKind::kFocalGone;
-      event.version = router_version_;
-      if (sub.callback) sub.callback(event);
+      sub.current = KsprResult{};
+      EmitSubscriptionEvent(sub, SubscriptionEventKind::kFocalGone,
+                            router_version_, ResultDiff{});
       ++out.subscribers_terminated;
       subs_.erase(subs_.begin() + static_cast<ptrdiff_t>(i));
       continue;
@@ -509,15 +503,9 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
       // The skyband moved but this focal's candidate set did not.
       ++out.subscribers_irrelevant;
     } else {
-      SubscriptionEvent event;
-      event.subscription = sub.id;
-      event.focal_id = sub.focal_id;
-      event.kind = SubscriptionEventKind::kRebuild;
-      event.version = router_version_;
-      event.diff = std::move(diff);
-      event.num_regions = result->regions.size();
       sub.current = *result;
-      if (sub.callback) sub.callback(event);
+      EmitSubscriptionEvent(sub, SubscriptionEventKind::kRebuild,
+                            router_version_, std::move(diff));
       ++out.subscribers_notified;
     }
     ++i;
@@ -546,7 +534,7 @@ SubscriptionId ShardRouter::Subscribe(RecordId focal_id,
     return kInvalidSubscription;
   }
 
-  auto sub = std::make_unique<RouterSubscription>();
+  auto sub = std::make_unique<StandingQuery>();
   sub->focal = record.value;
   sub->focal_id = focal_id;
   sub->options = options;
@@ -556,14 +544,9 @@ SubscriptionId ShardRouter::Subscribe(RecordId focal_id,
   MutexLock subs_lock(&subs_mu_);
   sub->id = next_subscription_++;
 
-  SubscriptionEvent event;
-  event.subscription = sub->id;
-  event.focal_id = focal_id;
-  event.kind = SubscriptionEventKind::kInitial;
-  event.version = router_version_;
-  event.diff = DiffResults(KsprResult{}, sub->current);
-  event.num_regions = sub->current.regions.size();
-  if (sub->callback) sub->callback(event);
+  EmitSubscriptionEvent(*sub, SubscriptionEventKind::kInitial,
+                        router_version_,
+                        DiffResults(KsprResult{}, sub->current));
 
   const SubscriptionId id = sub->id;
   subs_.push_back(std::move(sub));

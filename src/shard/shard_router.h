@@ -17,8 +17,9 @@
 //    of the shard count: results are bitwise-identical across N = 1, 2,
 //    4, 8, ... (gated by tests/test_sharding.cc and bench_sharding).
 //  * ApplyUpdates: the batch is split into per-shard versioned deltas;
-//    each shard applies its slice through its embedded QueryEngine (the
-//    PR 5 writer-lock quiesce + restamp path) and reports, for every k
+//    each shard applies its slice through ApplyMutationBatch (the
+//    mutation half of QueryEngine::ApplyUpdates, engine/query_engine.h;
+//    the transport serialises it per shard) and reports, for every k
 //    the router is serving, the records that entered or left its local
 //    k-skyband. The merged symmetric difference drives the router-level
 //    classification: a cached result or subscriber is provably untouched
@@ -33,10 +34,8 @@
 //    amortized CTA context and is therefore kCta-only), the router
 //    recomputes from scratch and supports every algorithm.
 //
-// Shards are reached exclusively through the narrow ShardTransport
-// interface; the in-process LocalShardTransport (per-shard thread + FIFO
-// queue) is the only implementation today and a socket transport is a
-// drop-in.
+// Shards are reached only through the narrow ShardTransport interface
+// (in-process LocalShardTransport or SocketShardTransport).
 //
 // Thread-safety: Query may be called concurrently from any thread.
 // ApplyUpdates/Subscribe/Unsubscribe take the router's writer lock (the
@@ -89,9 +88,8 @@ const char* ToString(RouterStatus status);
 struct RouterOptions {
   size_t num_shards = 1;
 
-  /// Per-shard worker configuration (shard R-tree geometry + embedded
-  /// engine). CreateLocal defaults the engine to one worker thread per
-  /// shard — the transport already runs shards in parallel.
+  /// Per-shard worker configuration (shard R-tree geometry and index
+  /// update policy).
   ShardWorkerOptions worker;
 
   /// Front-end result cache entries (0 disables).
@@ -286,15 +284,6 @@ class ShardRouter {
                                                const ShardMap& map);
 
  private:
-  struct RouterSubscription {
-    SubscriptionId id = kInvalidSubscription;
-    Vec focal;
-    RecordId focal_id = kInvalidRecord;
-    KsprOptions options;
-    KsprResult current;  // last emitted state (diff-replay target)
-    SubscriptionCallback callback;
-  };
-
   /// Shards a scatter could not cover: excluded up front (replay backlog
   /// pending) or failed after the transport's full retry budget.
   struct ScatterFailure {
@@ -375,7 +364,7 @@ class ShardRouter {
 
   mutable Mutex subs_mu_;
   SubscriptionId next_subscription_ KSPR_GUARDED_BY(subs_mu_) = 0;
-  std::vector<std::unique_ptr<RouterSubscription>> subs_
+  std::vector<std::unique_ptr<StandingQuery>> subs_
       KSPR_GUARDED_BY(subs_mu_);
 };
 

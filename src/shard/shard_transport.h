@@ -113,9 +113,8 @@ class ShardTransport {
   virtual std::future<CandidateResponse> Candidates(
       size_t shard, CandidateRequest request) = 0;
 
-  /// Applies one shard-slice of an update batch through the shard's
-  /// engine (PR 5 quiesce/restamp path) and reports per-k skyband
-  /// changes.
+  /// Applies one shard-slice of an update batch (ApplyMutationBatch,
+  /// engine/query_engine.h) and reports per-k skyband changes.
   virtual std::future<ShardUpdateResponse> ApplyDelta(
       size_t shard, ShardUpdateRequest request) = 0;
 

@@ -13,21 +13,23 @@ ShardWorker::ShardWorker(size_t shard_index, const ShardMap& map,
                          Dataset slice, ShardWorkerOptions options)
     : shard_index_(shard_index),
       map_(map),
+      update_policy_(options.engine.update_policy),
       owned_data_(std::make_unique<Dataset>(std::move(slice))),
       owned_tree_(std::make_unique<RTree>(RTree::BulkLoad(
           *owned_data_, options.leaf_capacity, options.fanout))) {
   data_ = owned_data_.get();
   tree_ = owned_tree_.get();
-  engine_ = std::make_unique<QueryEngine>(data_, tree_, options.engine);
 }
 
 ShardWorker::ShardWorker(size_t shard_index, const ShardMap& map,
                          std::unique_ptr<StorageEngine> storage,
                          ShardWorkerOptions options)
-    : shard_index_(shard_index), map_(map), storage_(std::move(storage)) {
+    : shard_index_(shard_index),
+      map_(map),
+      update_policy_(options.engine.update_policy),
+      storage_(std::move(storage)) {
   data_ = storage_->dataset();
   tree_ = storage_->tree();
-  engine_ = std::make_unique<QueryEngine>(storage_.get(), options.engine);
 }
 
 ShardWorker::~ShardWorker() = default;
@@ -87,7 +89,7 @@ ShardUpdateResponse ShardWorker::ApplyDelta(
   batch.inserts.reserve(request.inserts.size());
   for (const ShardInsert& ins : request.inserts) {
     assert(map_.ShardOf(ins.global_id) == shard_index_);
-    // The router assigns global ids monotonically, so the engine's append
+    // The router assigns global ids monotonically, so the dataset's append
     // order reproduces ShardMap's local ids exactly.
     assert(map_.LocalOf(ins.global_id) ==
            data().size() + static_cast<RecordId>(batch.inserts.size()));
@@ -99,11 +101,12 @@ ShardUpdateResponse ShardWorker::ApplyDelta(
     batch.deletes.push_back(map_.LocalOf(global));
   }
 
-  // The PR 5 path end to end: writer-lock quiesce, tombstone + append,
-  // R-tree maintenance per policy, version bump, targeted result-cache
-  // sweep with restamp of provably-untouched entries.
-  const UpdateResult applied = engine_->ApplyUpdates(batch);
-  assert(applied.applied);
+  // The engine's mutation half. The transport serialises this against
+  // every other worker method, so no quiesce is needed; a disk-backed tree
+  // is materialised first (no-op after the first batch).
+  if (storage_ != nullptr) storage_->PrepareForUpdates();
+  const UpdateResult applied =
+      ApplyMutationBatch(data_, tree_, update_policy_, batch);
   response.shard_version = applied.version;
   response.inserts_applied = applied.inserted_ids.size();
   response.deletes_applied = applied.deletes_applied;

@@ -1,6 +1,5 @@
 // One shard of the scatter-gather serving tier: a Dataset slice, its own
-// R-tree, a per-shard QueryEngine (result cache + the PR 5
-// quiesce/restamp update path) and a skyband candidate cache.
+// R-tree and a skyband candidate cache.
 //
 // A ShardWorker owns the records of one ShardMap residue class. Its two
 // serving operations are
@@ -9,21 +8,16 @@
 //     value) pairs, served from a per-k cache keyed on the shard dataset
 //     version, and
 //   * ApplyDelta(..) — one shard-slice of an update batch, applied
-//     through the embedded QueryEngine::ApplyUpdates (the same writer-
-//     lock quiesce, R-tree maintenance and version-stamped cache
-//     restamp every single-engine deployment uses), which also reports,
-//     per requested k, the records that entered or left the local
-//     k-skyband — the router's classification currency.
+//     through ApplyMutationBatch (engine/query_engine.h, the mutation
+//     half of QueryEngine::ApplyUpdates), which also reports, per
+//     requested k, the records that entered or left the local k-skyband —
+//     the router's classification currency. Caches and subscriptions
+//     live in the router; a shard runs no serving engine of its own.
 //
-// Thread-safety / locking contract (mirrors engine/query_engine.h):
-// ShardWorker methods are NOT internally synchronised against each other;
-// the transport in front of the worker must serialise them (LocalShard-
-// Transport runs every method of one worker on that shard's single queue
-// thread, which also gives cross-method happens-before). The embedded
-// QueryEngine provides its own internal locking, so a future transport
-// that fans shard-local *queries* out to the engine's pool may do so
-// concurrently with Candidates — but ApplyDelta must stay exclusive per
-// shard, which a FIFO queue gives for free.
+// Thread-safety: ShardWorker is NOT internally synchronised; the
+// transport in front of it serialises every call (LocalShardTransport's
+// per-shard queue thread, ShardServer's worker_mu_), which also gives
+// cross-method happens-before.
 
 #ifndef KSPR_SHARD_SHARD_WORKER_H_
 #define KSPR_SHARD_SHARD_WORKER_H_
@@ -46,7 +40,8 @@ class StorageEngine;  // storage/storage_engine.h
 struct ShardWorkerOptions {
   int leaf_capacity = 64;  // R-tree geometry of the shard's own tree
   int fanout = 64;
-  /// Forwarded to the embedded QueryEngine (update policy, cache size).
+  /// Only `engine.update_policy` is read: it picks how ApplyDelta
+  /// maintains the shard's R-tree. The other fields are ignored.
   EngineOptions engine;
 };
 
@@ -60,7 +55,7 @@ class ShardWorker {
 
   /// Disk-backed shard: serves from an opened per-shard snapshot; node
   /// pages fault through the storage buffer pool until the first update
-  /// batch materialises the tree (QueryEngine's storage constructor).
+  /// batch materialises the tree (StorageEngine::PrepareForUpdates).
   ShardWorker(size_t shard_index, const ShardMap& map,
               std::unique_ptr<StorageEngine> storage,
               ShardWorkerOptions options);
@@ -90,6 +85,7 @@ class ShardWorker {
 
   size_t shard_index_;
   ShardMap map_;
+  IndexUpdatePolicy update_policy_;
   /// In-memory ownership (null for the disk-backed constructor, where the
   /// StorageEngine owns the pair).
   std::unique_ptr<Dataset> owned_data_;
@@ -97,9 +93,6 @@ class ShardWorker {
   std::unique_ptr<StorageEngine> storage_;
   Dataset* data_ = nullptr;
   RTree* tree_ = nullptr;
-  /// The per-shard serving engine: result cache + ApplyUpdates. Created
-  /// after the data/tree members it points into.
-  std::unique_ptr<QueryEngine> engine_;
 
   struct CachedBand {
     uint64_t version = 0;

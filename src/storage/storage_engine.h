@@ -19,14 +19,15 @@
 // gets the remainder. The flat single-LRU mode matches the historical
 // simulator default.
 //
-// Updates: the engine cannot mutate a hollow tree page-by-page.
-// PrepareForUpdates (called by QueryEngine::ApplyUpdates under its writer
-// lock) materialises every node into memory, detaches the pool's I/O and
-// marks the engine stale — the file no longer reflects the in-memory
-// state until Resave. The pool's TRACKER stays attached to the tree, so
-// post-materialise serving keeps simulated-accounting continuity and
-// freed nodes keep retiring their pages (the phantom-page audit stays
-// meaningful across the transition).
+// Updates: nothing can mutate a hollow tree page-by-page.
+// PrepareForUpdates (called by QueryEngine::ApplyUpdates and
+// ShardWorker::ApplyDelta before they mutate anything) materialises
+// every node into memory, detaches the pool's I/O and marks the engine
+// stale — the file no longer reflects the in-memory state until Resave.
+// The pool's TRACKER stays attached to the tree, so post-materialise
+// serving keeps simulated-accounting continuity and freed nodes keep
+// retiring their pages (the phantom-page audit stays meaningful across
+// the transition).
 
 #ifndef KSPR_STORAGE_STORAGE_ENGINE_H_
 #define KSPR_STORAGE_STORAGE_ENGINE_H_
@@ -99,9 +100,8 @@ class StorageEngine {
 
   /// Materialises the tree, detaches pool I/O and marks the snapshot
   /// stale (in-memory state will diverge from the file). Idempotent.
-  /// Callers must hold whatever lock quiesces readers —
-  /// QueryEngine::ApplyUpdates calls this under its writer lock before
-  /// mutating anything.
+  /// Callers keep readers out: QueryEngine::ApplyUpdates by its writer
+  /// lock, ShardWorker::ApplyDelta by its transport's serialisation.
   void PrepareForUpdates();
 
   /// True once PrepareForUpdates ran: the file no longer (necessarily)

@@ -10,10 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/dataset.h"
@@ -28,6 +33,7 @@
 #include "shard/fault_transport.h"
 #include "shard/local_transport.h"
 #include "shard/shard_router.h"
+#include "shard/shard_server.h"
 #include "shard/shard_worker.h"
 #include "storage/shard_paths.h"
 #include "storage/storage_engine.h"
@@ -210,10 +216,17 @@ TEST(ShardingUpdateTest, BitwiseIdenticalAfterUpdateBatches) {
   const RecordId focal = MaxSumRecord(initial);
   const int k = 2;
 
+  // Shards maintaining their R-trees by STR rebuild must answer exactly
+  // like the kIncremental ones: the candidate pipeline sorts canonically,
+  // so the shard tree shape never reaches the solver.
   std::vector<std::unique_ptr<ShardRouter>> routers;
-  for (size_t n : kShardCounts) {
-    routers.push_back(
-        ShardRouter::CreateLocal(initial, TestRouterOptions(n)));
+  for (IndexUpdatePolicy policy :
+       {IndexUpdatePolicy::kIncremental, IndexUpdatePolicy::kRebuild}) {
+    for (size_t n : kShardCounts) {
+      RouterOptions options = TestRouterOptions(n);
+      options.worker.engine.update_policy = policy;
+      routers.push_back(ShardRouter::CreateLocal(initial, options));
+    }
   }
   Dataset mirror = initial;
 
@@ -342,8 +355,8 @@ TEST(ShardingUpdateTest, CacheRetainedWhenFocalDominatesDelta) {
 // Satellite edge case: delete every record owned by one shard; the shard
 // serves an empty slice (empty skyband, empty tree) and results stay
 // bitwise-identical to the single-shard deployment. A later insert lands
-// on the emptied shard again (empty-tree bootstrap of the embedded
-// engine).
+// on the emptied shard again (empty-tree bootstrap of the shard's
+// R-tree).
 TEST(ShardingEdgeTest, EmptyShardAfterHeavyDeletion) {
   const Dataset data = GenerateAntiCorrelated(48, 3, 41);
   const size_t n = 4;
@@ -596,18 +609,139 @@ TEST(ShardingStorageTest, SnapshotRoundTripServesIdentically) {
                        "snapshot round trip");
   }
 
-  // The reopened deployment accepts updates (PrepareForUpdates path).
-  RouterUpdateBatch batch;
-  batch.inserts = {Vec{0.9, 0.92, 0.88}};
-  original->ApplyUpdates(batch);
-  reopened.ApplyUpdates(batch);
+  // The reopened deployment accepts updates (PrepareForUpdates path, then
+  // Delete on the materialised tree). Batch 1 deletes on every shard,
+  // including a 2-skyband record; batch 2 mixes inserts and deletes again.
+  const RTree tree = RTree::BulkLoad(data, kTestLeafCapacity, kTestFanout);
+  const std::vector<RecordId> band = KSkyband(data, tree, 2);
+  const RecordId band_record = band[0] == focal ? band[1] : band[0];
+  // The first live non-focal record of shard `s` not yet picked.
+  std::vector<RecordId> picked = {focal, band_record};
+  const auto pick_on = [&](size_t s) {
+    for (RecordId id = 0; id < data.size(); ++id) {
+      if (map.ShardOf(id) == s && data.IsLive(id) &&
+          std::find(picked.begin(), picked.end(), id) == picked.end()) {
+        picked.push_back(id);
+        return id;
+      }
+    }
+    return kInvalidRecord;
+  };
+  std::vector<RouterUpdateBatch> batches(2);
+  batches[0].inserts = {Vec{0.9, 0.92, 0.88}};
+  batches[0].deletes = {band_record};
+  for (size_t s = 0; s < n; ++s) batches[0].deletes.push_back(pick_on(s));
+  batches[1].inserts = {Vec{0.95, 0.4, 0.91}, Vec{0.3, 0.2, 0.35}};
+  batches[1].deletes = {data.size(), pick_on(0)};
+  for (const RouterUpdateBatch& batch : batches) {
+    const RouterUpdateResult want = original->ApplyUpdates(batch);
+    const RouterUpdateResult got = reopened.ApplyUpdates(batch);
+    EXPECT_EQ(got.deletes_applied, batch.deletes.size());
+    EXPECT_EQ(got.deletes_applied, want.deletes_applied);
+    for (Algorithm algo : kAlgorithms) {
+      const KsprOptions options = QueryOptions(algo, 2);
+      ExpectBitwiseEqual(*original->Query(focal, options).result,
+                         *reopened.Query(focal, options).result,
+                         "post-update round trip");
+    }
+  }
+
+  // Save the updated disk-backed shards and reopen them once more.
+  const SnapshotSaveResult resaved =
+      reopened.SaveSnapshots(base + "_updated");
+  ASSERT_TRUE(resaved.ok);
+  std::vector<std::unique_ptr<ShardWorker>> reloaded;
+  for (size_t s = 0; s < n; ++s) {
+    reloaded.push_back(std::make_unique<ShardWorker>(
+        s, map, StorageEngine::Open(resaved.paths[s]),
+        router_options.worker));
+  }
+  ShardRouter twice(
+      std::make_unique<LocalShardTransport>(std::move(reloaded)),
+      original->next_global_id(), router_options);
   for (Algorithm algo : kAlgorithms) {
     const KsprOptions options = QueryOptions(algo, 2);
     ExpectBitwiseEqual(*original->Query(focal, options).result,
-                       *reopened.Query(focal, options).result,
-                       "post-update round trip");
+                       *twice.Query(focal, options).result,
+                       "updated snapshot round trip");
   }
   for (const std::string& path : paths) std::remove(path.c_str());
+  for (const std::string& path : resaved.paths) std::remove(path.c_str());
+}
+
+// Threads of this process, or -1 where /proc/self/task is unreadable.
+int ThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) {
+    if (ec) return -1;
+    ++count;
+  }
+  return count;
+}
+
+// ThreadCount once two reads 1 ms apart agree: a thread an earlier test
+// joined can stay listed for a moment after the join returns.
+int SettledThreadCount() {
+  int last = ThreadCount();
+  for (int attempt = 0; attempt < 1000; ++attempt) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    const int now = ThreadCount();
+    if (now == last) return now;
+    last = now;
+  }
+  return last;
+}
+
+// A shard is a dataset slice, a tree and a skyband cache; the only
+// threads a local deployment needs are the transport's one queue thread
+// per shard.
+TEST(ShardThreadTest, LocalRouterAddsOneThreadPerShard) {
+  const int before = SettledThreadCount();
+  if (before < 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+  const Dataset data = GenerateIndependent(80, 3, 19);
+  auto router = ShardRouter::CreateLocal(data, TestRouterOptions(4));
+  EXPECT_EQ(SettledThreadCount() - before, 4);
+  RouterUpdateBatch batch;
+  batch.inserts = {Vec{0.9, 0.8, 0.95}};
+  batch.deletes = {RecordId{1}, RecordId{2}};
+  router->ApplyUpdates(batch);
+  EXPECT_EQ(SettledThreadCount() - before, 4);
+}
+
+// Workers opened from snapshots with default ShardWorkerOptions start no
+// threads of their own, neither when opened nor when updated.
+TEST(ShardThreadTest, DiskBackedWorkersAddNoThreads) {
+  if (ThreadCount() < 0) GTEST_SKIP() << "/proc/self/task is unreadable";
+  const Dataset data = GenerateIndependent(80, 3, 23);
+  const size_t n = 4;
+  const std::string base = ::testing::TempDir() + "/kspr_shard_threads";
+  SnapshotSaveResult saved =
+      ShardRouter::CreateLocal(data, TestRouterOptions(n))
+          ->SaveSnapshots(base);
+  ASSERT_TRUE(saved.ok);
+
+  const int before = SettledThreadCount();
+  const ShardMap map(n);
+  std::vector<std::unique_ptr<ShardWorker>> workers;
+  for (size_t s = 0; s < n; ++s) {
+    workers.push_back(std::make_unique<ShardWorker>(
+        s, map, StorageEngine::Open(saved.paths[s]), ShardWorkerOptions{}));
+  }
+  EXPECT_EQ(SettledThreadCount(), before);
+  RouterOptions options;
+  options.num_shards = n;
+  ShardRouter router(std::make_unique<LocalShardTransport>(std::move(workers)),
+                     data.size(), options);
+  EXPECT_EQ(SettledThreadCount() - before, static_cast<int>(n));
+  RouterUpdateBatch batch;
+  batch.inserts = {Vec{0.9, 0.8, 0.95}};
+  batch.deletes = {RecordId{1}, RecordId{2}};
+  router.ApplyUpdates(batch);
+  EXPECT_EQ(SettledThreadCount() - before, static_cast<int>(n));
+  for (const std::string& path : saved.paths) std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -622,7 +756,6 @@ std::unique_ptr<ShardRouter> FaultyLocalRouter(const Dataset& data,
                                                const std::string& spec,
                                                RouterOptions options) {
   const ShardMap map(options.num_shards);
-  if (options.worker.engine.workers <= 0) options.worker.engine.workers = 1;
   if (!options.stats) options.stats = std::make_shared<TransportStats>();
   std::vector<Dataset> slices = ShardRouter::PartitionDataset(data, map);
   std::vector<std::unique_ptr<ShardWorker>> workers;
@@ -757,6 +890,90 @@ TEST(SocketTransportTest, FaultScheduleForcesRetryAndReconnect) {
   for (size_t shard = 0; shard < n; ++shard) {
     EXPECT_EQ(router->shard_health(shard), ShardHealth::kUp);
   }
+}
+
+// Two clients on one ShardServer: the server's worker mutex is all that
+// serialises the worker, which has no lock of its own. One client loops
+// Candidates while the other sends 20 sequenced ApplyDelta batches; the
+// reads must see non-decreasing versions, and the final skyband must be
+// the k-skyband of a Dataset that mirrors the batches. Under TSan this
+// also proves the two connection threads never touch the worker at once.
+TEST(ShardServerTest, TwoClientsAreSerialised) {
+  const Dataset data = GenerateAntiCorrelated(100, 3, 59);
+  const Dataset pool = GenerateIndependent(40, 3, 61);
+  const int k = 2;
+  ShardWorkerOptions worker_options;
+  worker_options.leaf_capacity = kTestLeafCapacity;
+  worker_options.fanout = kTestFanout;
+  ShardWorker worker(0, ShardMap(1), data, worker_options);
+  ShardServer server(&worker);
+  SocketTransportOptions socket;
+  socket.request_timeout_ms = 30000;  // generous under sanitizers
+  SocketShardTransport reader({server.port()}, socket);
+  SocketShardTransport writer({server.port()}, socket);
+
+  std::atomic<bool> done{false};
+  int reads = 0;
+  bool versions_monotonic = true;
+  std::string reader_error;
+  std::thread reader_thread([&] {
+    try {
+      uint64_t last_version = 0;
+      while (!done.load()) {
+        const CandidateResponse response =
+            reader.Candidates(0, CandidateRequest{k}).get();
+        if (response.shard_version < last_version) versions_monotonic = false;
+        last_version = response.shard_version;
+        ++reads;
+      }
+    } catch (const std::exception& e) {
+      reader_error = e.what();
+    }
+  });
+
+  Dataset mirror = data;
+  std::string writer_error;
+  try {
+    for (int b = 0; b < 20; ++b) {
+      ShardUpdateRequest request;
+      request.batch_seq = static_cast<uint64_t>(b) + 1;
+      request.skyband_ks = {k};
+      const RecordId victim = static_cast<RecordId>(b * 7) % mirror.size();
+      if (mirror.IsLive(victim)) {
+        request.delete_global_ids.push_back(victim);
+        mirror.Delete(victim);
+      }
+      for (RecordId p : {RecordId{2} * b, RecordId{2} * b + 1}) {
+        request.inserts.push_back({mirror.size(), pool.Get(p)});
+        mirror.Insert(pool.Get(p));
+      }
+      const ShardUpdateResponse response =
+          writer.ApplyDelta(0, std::move(request)).get();
+      EXPECT_EQ(response.shard_version, mirror.version());
+    }
+  } catch (const std::exception& e) {
+    writer_error = e.what();
+  }
+  done.store(true);
+  reader_thread.join();
+  ASSERT_EQ(writer_error, "");
+  ASSERT_EQ(reader_error, "");
+  EXPECT_GT(reads, 0);
+  EXPECT_TRUE(versions_monotonic);
+
+  const CandidateResponse final_band =
+      reader.Candidates(0, CandidateRequest{k}).get();
+  EXPECT_EQ(final_band.shard_version, mirror.version());
+  std::vector<RecordId> got;
+  for (const Candidate& c : final_band.candidates) {
+    got.push_back(c.global_id);
+    EXPECT_EQ(c.value, mirror.Get(c.global_id));
+  }
+  const RTree tree = RTree::BulkLoad(mirror, kTestLeafCapacity, kTestFanout);
+  std::vector<RecordId> want = KSkyband(mirror, tree, k);
+  std::sort(got.begin(), got.end());
+  std::sort(want.begin(), want.end());
+  EXPECT_EQ(got, want);
 }
 
 // Default policy: a query that cannot cover every shard fails fast with
