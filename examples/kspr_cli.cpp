@@ -67,8 +67,9 @@
 // retry/reconnect machinery; a malformed SPEC is rejected with the
 // parser's error.
 //
-// --subscribe S (CTA only) registers S standing subscriptions over
-// skyline records starting at the focal and prints their diff streams:
+// --subscribe S (CTA only, any algo under --shards) registers S standing
+// subscriptions over skyline records starting at the focal and prints
+// their diff streams:
 // one "# sub" line per event (initial / delta / rebuild / focal-gone)
 // with the regions added and removed by the diff, plus a per-batch
 // classification summary. Combine with --updates to watch regions being
@@ -280,10 +281,11 @@ int main(int argc, char** argv) {
                  kMaxSubscriptions);
     return 1;
   }
-  if (subscribe > 0 && algo != Algorithm::kCta) {
+  if (subscribe > 0 && shards == 1 && algo != Algorithm::kCta) {
     std::fprintf(stderr,
-                 "--subscribe requires --algo cta (standing subscriptions "
-                 "are maintained through amortized CTA contexts)\n");
+                 "--subscribe requires --algo cta without --shards (engine "
+                 "subscriptions are maintained through amortized CTA "
+                 "contexts)\n");
     return 1;
   }
   constexpr int kMaxBufferPages = 1 << 20;

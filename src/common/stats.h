@@ -10,78 +10,70 @@
 
 namespace kspr {
 
+/// The one list of KsprStats counters, in field (layout) order: X(name)
+/// per counter. The fields, KsprStats::Add, StatsBitwiseEqual and the test
+/// helpers all expand it, so a counter is added or removed here only.
+/// bench_fingerprint hashes the raw struct bytes: reordering this list
+/// changes every fingerprint.
+#define KSPR_STATS_COUNTERS(X)                                              \
+  /* Records whose hyperplanes were inserted into the CellTree             \
+     (Fig 11(a), Fig 20(a)). */                                             \
+  X(processed_records)                                                      \
+  /* Total CellTree nodes created (Fig 11(b)). */                           \
+  X(cell_tree_nodes)                                                        \
+  /* CellTree nodes alive (not eliminated/reported) at termination. */      \
+  X(live_leaves)                                                            \
+  /* Calls into the simplex solver, split by purpose. */                    \
+  X(feasibility_lps) /* cell nonemptiness tests (Sec 4.2) */                \
+  X(bound_lps)       /* score/rank bound LPs (Sec 6) */                     \
+  X(finalize_lps)    /* redundancy tests during finalisation */             \
+  /* Feasibility tests short-circuited by the cached witness point         \
+     (Sec 4.3.2) or by the dominance-graph shortcut (Sec 5). */             \
+  X(witness_hits)                                                           \
+  X(dominance_shortcuts)                                                    \
+  /* LP kernel path taken per solve: warm starts reuse a parent-optimal    \
+     tableau (dual-simplex row append or objective reload), cold starts    \
+     run the two-phase solver from scratch. lp_skipped_by_ball counts      \
+     side tests the cached inscribed ball decided with no LP at all. */    \
+  X(lp_warm_starts)                                                         \
+  X(lp_cold_starts)                                                         \
+  X(lp_skipped_by_ball)                                                     \
+  /* Constraints passed to the LP solver, before and after Lemma-2         \
+     elimination of inconsequential halfspaces (Fig 17(a)). */             \
+  X(constraints_full)                                                       \
+  X(constraints_used)                                                       \
+  /* Cells reported early by look-ahead bounds / pruned early (Sec 6). */   \
+  X(lookahead_reported)                                                     \
+  X(lookahead_pruned)                                                       \
+  /* Batches processed by P-CTA / LP-CTA. */                                \
+  X(batches)                                                                \
+  /* Approximate CellTree memory footprint in bytes (Fig 12(b)). */         \
+  X(bytes)                                                                  \
+  /* Simulated page reads on the data index (Appendix A). */                \
+  X(page_reads)                                                             \
+  /* Number of regions in the reported result                              \
+     (Figs 13(b), 14(b), 15(d)). */                                         \
+  X(result_regions)
+
 struct KsprStats {
-  /// Records whose hyperplanes were inserted into the CellTree
-  /// (Fig 11(a), Fig 20(a)).
-  int64_t processed_records = 0;
-
-  /// Total CellTree nodes created (Fig 11(b)).
-  int64_t cell_tree_nodes = 0;
-
-  /// CellTree nodes alive (not eliminated/reported) at termination.
-  int64_t live_leaves = 0;
-
-  /// Calls into the simplex solver, split by purpose.
-  int64_t feasibility_lps = 0;   // cell nonemptiness tests (Sec 4.2)
-  int64_t bound_lps = 0;         // score/rank bound LPs (Sec 6)
-  int64_t finalize_lps = 0;      // redundancy tests during finalisation
-
-  /// Feasibility tests short-circuited by the cached witness point
-  /// (Sec 4.3.2) or by the dominance-graph shortcut (Sec 5).
-  int64_t witness_hits = 0;
-  int64_t dominance_shortcuts = 0;
-
-  /// LP kernel path taken per solve: warm starts reuse a parent-optimal
-  /// tableau (dual-simplex row append or objective reload), cold starts
-  /// run the two-phase solver from scratch. lp_skipped_by_ball counts side
-  /// tests the cached inscribed ball decided with no LP at all.
-  int64_t lp_warm_starts = 0;
-  int64_t lp_cold_starts = 0;
-  int64_t lp_skipped_by_ball = 0;
-
-  /// Constraints passed to the LP solver, before and after Lemma-2
-  /// elimination of inconsequential halfspaces (Fig 17(a)).
-  int64_t constraints_full = 0;
-  int64_t constraints_used = 0;
-
-  /// Cells reported early by look-ahead bounds / pruned early (Sec 6).
-  int64_t lookahead_reported = 0;
-  int64_t lookahead_pruned = 0;
-
-  /// Batches processed by P-CTA / LP-CTA.
-  int64_t batches = 0;
-
-  /// Approximate CellTree memory footprint in bytes (Fig 12(b)).
-  int64_t bytes = 0;
-
-  /// Simulated page reads on the data index (Appendix A).
-  int64_t page_reads = 0;
-
-  /// Number of regions in the reported result (Figs 13(b), 14(b), 15(d)).
-  int64_t result_regions = 0;
+#define KSPR_STATS_FIELD(name) int64_t name = 0;
+  KSPR_STATS_COUNTERS(KSPR_STATS_FIELD)
+#undef KSPR_STATS_FIELD
 
   void Add(const KsprStats& o) {
-    processed_records += o.processed_records;
-    cell_tree_nodes += o.cell_tree_nodes;
-    live_leaves += o.live_leaves;
-    feasibility_lps += o.feasibility_lps;
-    bound_lps += o.bound_lps;
-    finalize_lps += o.finalize_lps;
-    witness_hits += o.witness_hits;
-    dominance_shortcuts += o.dominance_shortcuts;
-    lp_warm_starts += o.lp_warm_starts;
-    lp_cold_starts += o.lp_cold_starts;
-    lp_skipped_by_ball += o.lp_skipped_by_ball;
-    constraints_full += o.constraints_full;
-    constraints_used += o.constraints_used;
-    lookahead_reported += o.lookahead_reported;
-    lookahead_pruned += o.lookahead_pruned;
-    batches += o.batches;
-    bytes += o.bytes;
-    page_reads += o.page_reads;
-    result_regions += o.result_regions;
+#define KSPR_STATS_ADD(name) name += o.name;
+    KSPR_STATS_COUNTERS(KSPR_STATS_ADD)
+#undef KSPR_STATS_ADD
   }
 };
+
+// One int64_t per listed counter and no padding: the fingerprint's raw-byte
+// hash depends on it.
+#define KSPR_STATS_ONE(name) +1
+static_assert(sizeof(KsprStats) ==
+                  (0 KSPR_STATS_COUNTERS(KSPR_STATS_ONE)) * sizeof(int64_t),
+              "KsprStats must be exactly the KSPR_STATS_COUNTERS fields");
+#undef KSPR_STATS_ONE
 
 }  // namespace kspr
 

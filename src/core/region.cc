@@ -40,24 +40,9 @@ bool RegionsBitwiseEqual(const Region& ra, const Region& rb) {
 }
 
 bool StatsBitwiseEqual(const KsprStats& sa, const KsprStats& sb) {
-  return sa.processed_records == sb.processed_records &&
-         sa.cell_tree_nodes == sb.cell_tree_nodes &&
-         sa.live_leaves == sb.live_leaves &&
-         sa.feasibility_lps == sb.feasibility_lps &&
-         sa.bound_lps == sb.bound_lps &&
-         sa.finalize_lps == sb.finalize_lps &&
-         sa.witness_hits == sb.witness_hits &&
-         sa.dominance_shortcuts == sb.dominance_shortcuts &&
-         sa.lp_warm_starts == sb.lp_warm_starts &&
-         sa.lp_cold_starts == sb.lp_cold_starts &&
-         sa.lp_skipped_by_ball == sb.lp_skipped_by_ball &&
-         sa.constraints_full == sb.constraints_full &&
-         sa.constraints_used == sb.constraints_used &&
-         sa.lookahead_reported == sb.lookahead_reported &&
-         sa.lookahead_pruned == sb.lookahead_pruned &&
-         sa.batches == sb.batches && sa.bytes == sb.bytes &&
-         sa.page_reads == sb.page_reads &&
-         sa.result_regions == sb.result_regions;
+#define KSPR_STATS_EQ(name) && sa.name == sb.name
+  return true KSPR_STATS_COUNTERS(KSPR_STATS_EQ);
+#undef KSPR_STATS_EQ
 }
 
 bool ResultsBitwiseEqual(const KsprResult& a, const KsprResult& b) {

@@ -1,5 +1,10 @@
 // Thread-safe aggregate statistics for the batch query engine and the
 // shard transport layer.
+//
+// Each class names its int64 counters once, in an X-macro list; the
+// Snapshot fields, the relaxed atomics, Get() and Reset() are expanded
+// from that list. The Record* methods, which decide what an event
+// increments, and EngineStats's two latency figures are written by hand.
 
 #ifndef KSPR_ENGINE_ENGINE_STATS_H_
 #define KSPR_ENGINE_ENGINE_STATS_H_
@@ -9,6 +14,14 @@
 
 #include "common/stats.h"
 
+// Per-counter expansions shared by both classes; #undef'd at the end of
+// this header.
+#define KSPR_SNAPSHOT_FIELD(name) int64_t name = 0;
+#define KSPR_ATOMIC_COUNTER(name) std::atomic<int64_t> name##_{0};
+#define KSPR_LOAD_COUNTER(name) \
+  s.name = name##_.load(std::memory_order_relaxed);
+#define KSPR_ZERO_COUNTER(name) name##_.store(0, std::memory_order_relaxed);
+
 namespace kspr {
 
 /// Aggregate counters updated by every worker; all fields are atomics with
@@ -17,30 +30,33 @@ namespace kspr {
 /// QueryResponse returned for that query.
 class EngineStats {
  public:
+#define KSPR_ENGINE_STATS_COUNTERS(X)                                       \
+  X(queries)                                                                \
+  X(cache_hits)                                                             \
+  X(cache_misses)                                                           \
+  X(lp_calls) /* feasibility + bound + finalisation LPs */                  \
+  X(regions)                                                                \
+  /* Dynamic-update path (QueryEngine::ApplyUpdates). */                    \
+  X(updates) /* batches applied */                                          \
+  X(records_inserted)                                                       \
+  X(records_deleted)                                                        \
+  X(cache_invalidated) /* entries dropped by update sweeps */               \
+  X(cache_retained)    /* entries restamped (proven unaffected) */          \
+  /* Amortized CTA contexts. */                                             \
+  X(amortized_builds) /* full from-scratch context builds */                \
+  X(amortized_reuses) /* delta-only advances */                             \
+  /* Standing subscriptions (engine/subscription.h). The per-batch         \
+     classification counters sum to subscribers-examined-per-batch;        \
+     sub_events counts emitted diffs (initial events included). */         \
+  X(sub_registered) /* successful Subscribe calls */                        \
+  X(sub_irrelevant) /* proven untouched, nothing emitted */                 \
+  X(sub_delta)      /* maintained via delta advance */                      \
+  X(sub_rebuilds)   /* transparent from-scratch rebuilds */                 \
+  X(sub_focal_gone) /* terminated: focal record deleted */                  \
+  X(sub_events)     /* diff events delivered to callbacks */
+
   struct Snapshot {
-    int64_t queries = 0;
-    int64_t cache_hits = 0;
-    int64_t cache_misses = 0;
-    int64_t lp_calls = 0;  // feasibility + bound + finalisation LPs
-    int64_t regions = 0;
-    // Dynamic-update path (QueryEngine::ApplyUpdates).
-    int64_t updates = 0;            // batches applied
-    int64_t records_inserted = 0;
-    int64_t records_deleted = 0;
-    int64_t cache_invalidated = 0;  // entries dropped by update sweeps
-    int64_t cache_retained = 0;     // entries restamped (proven unaffected)
-    // Amortized CTA contexts.
-    int64_t amortized_builds = 0;   // full from-scratch context builds
-    int64_t amortized_reuses = 0;   // delta-only advances
-    // Standing subscriptions (engine/subscription.h). The per-batch
-    // classification counters sum to subscribers-examined-per-batch;
-    // sub_events counts emitted diffs (initial events included).
-    int64_t sub_registered = 0;     // successful Subscribe calls
-    int64_t sub_irrelevant = 0;     // proven untouched, nothing emitted
-    int64_t sub_delta = 0;          // maintained via delta advance
-    int64_t sub_rebuilds = 0;       // transparent from-scratch rebuilds
-    int64_t sub_focal_gone = 0;     // terminated: focal record deleted
-    int64_t sub_events = 0;         // diff events delivered to callbacks
+    KSPR_ENGINE_STATS_COUNTERS(KSPR_SNAPSHOT_FIELD)
     double total_latency_ms = 0.0;
     double max_latency_ms = 0.0;
 
@@ -60,19 +76,17 @@ class EngineStats {
   /// hits (no solver work happened) and non-null for misses.
   void RecordQuery(const KsprStats* solver_stats, int64_t regions,
                    double latency_ms) {
-    queries_.fetch_add(1, std::memory_order_relaxed);
-    regions_.fetch_add(regions, std::memory_order_relaxed);
+    Bump(queries_);
+    Bump(regions_, regions);
     if (solver_stats != nullptr) {
-      cache_misses_.fetch_add(1, std::memory_order_relaxed);
-      lp_calls_.fetch_add(solver_stats->feasibility_lps +
-                              solver_stats->bound_lps +
-                              solver_stats->finalize_lps,
-                          std::memory_order_relaxed);
+      Bump(cache_misses_);
+      Bump(lp_calls_, solver_stats->feasibility_lps + solver_stats->bound_lps +
+                          solver_stats->finalize_lps);
     } else {
-      cache_hits_.fetch_add(1, std::memory_order_relaxed);
+      Bump(cache_hits_);
     }
     const int64_t ns = static_cast<int64_t>(latency_ms * 1e6);
-    latency_ns_total_.fetch_add(ns, std::memory_order_relaxed);
+    Bump(latency_ns_total_, ns);
     int64_t prev = latency_ns_max_.load(std::memory_order_relaxed);
     while (prev < ns && !latency_ns_max_.compare_exchange_weak(
                             prev, ns, std::memory_order_relaxed)) {
@@ -82,57 +96,32 @@ class EngineStats {
   /// Records one ApplyUpdates batch.
   void RecordUpdate(int64_t inserted, int64_t deleted, int64_t invalidated,
                     int64_t retained) {
-    updates_.fetch_add(1, std::memory_order_relaxed);
-    records_inserted_.fetch_add(inserted, std::memory_order_relaxed);
-    records_deleted_.fetch_add(deleted, std::memory_order_relaxed);
-    cache_invalidated_.fetch_add(invalidated, std::memory_order_relaxed);
-    cache_retained_.fetch_add(retained, std::memory_order_relaxed);
+    Bump(updates_);
+    Bump(records_inserted_, inserted);
+    Bump(records_deleted_, deleted);
+    Bump(cache_invalidated_, invalidated);
+    Bump(cache_retained_, retained);
   }
 
-  void RecordAmortizedBuild() {
-    amortized_builds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordAmortizedReuse() {
-    amortized_reuses_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void RecordAmortizedBuild() { Bump(amortized_builds_); }
+  void RecordAmortizedReuse() { Bump(amortized_reuses_); }
 
-  void RecordSubscriptionRegistered() {
-    sub_registered_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void RecordSubscriptionRegistered() { Bump(sub_registered_); }
   /// Records one subscription sweep (all subscribers of one update batch).
   void RecordSubscriptionSweep(int64_t irrelevant, int64_t delta,
                                int64_t rebuilds, int64_t focal_gone,
                                int64_t events) {
-    sub_irrelevant_.fetch_add(irrelevant, std::memory_order_relaxed);
-    sub_delta_.fetch_add(delta, std::memory_order_relaxed);
-    sub_rebuilds_.fetch_add(rebuilds, std::memory_order_relaxed);
-    sub_focal_gone_.fetch_add(focal_gone, std::memory_order_relaxed);
-    sub_events_.fetch_add(events, std::memory_order_relaxed);
+    Bump(sub_irrelevant_, irrelevant);
+    Bump(sub_delta_, delta);
+    Bump(sub_rebuilds_, rebuilds);
+    Bump(sub_focal_gone_, focal_gone);
+    Bump(sub_events_, events);
   }
-  void RecordSubscriptionEvent() {
-    sub_events_.fetch_add(1, std::memory_order_relaxed);
-  }
+  void RecordSubscriptionEvent() { Bump(sub_events_); }
 
   Snapshot Get() const {
     Snapshot s;
-    s.queries = queries_.load(std::memory_order_relaxed);
-    s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-    s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
-    s.lp_calls = lp_calls_.load(std::memory_order_relaxed);
-    s.regions = regions_.load(std::memory_order_relaxed);
-    s.updates = updates_.load(std::memory_order_relaxed);
-    s.records_inserted = records_inserted_.load(std::memory_order_relaxed);
-    s.records_deleted = records_deleted_.load(std::memory_order_relaxed);
-    s.cache_invalidated = cache_invalidated_.load(std::memory_order_relaxed);
-    s.cache_retained = cache_retained_.load(std::memory_order_relaxed);
-    s.amortized_builds = amortized_builds_.load(std::memory_order_relaxed);
-    s.amortized_reuses = amortized_reuses_.load(std::memory_order_relaxed);
-    s.sub_registered = sub_registered_.load(std::memory_order_relaxed);
-    s.sub_irrelevant = sub_irrelevant_.load(std::memory_order_relaxed);
-    s.sub_delta = sub_delta_.load(std::memory_order_relaxed);
-    s.sub_rebuilds = sub_rebuilds_.load(std::memory_order_relaxed);
-    s.sub_focal_gone = sub_focal_gone_.load(std::memory_order_relaxed);
-    s.sub_events = sub_events_.load(std::memory_order_relaxed);
+    KSPR_ENGINE_STATS_COUNTERS(KSPR_LOAD_COUNTER)
     s.total_latency_ms =
         static_cast<double>(latency_ns_total_.load(std::memory_order_relaxed)) /
         1e6;
@@ -143,47 +132,17 @@ class EngineStats {
   }
 
   void Reset() {
-    queries_.store(0, std::memory_order_relaxed);
-    cache_hits_.store(0, std::memory_order_relaxed);
-    cache_misses_.store(0, std::memory_order_relaxed);
-    lp_calls_.store(0, std::memory_order_relaxed);
-    regions_.store(0, std::memory_order_relaxed);
-    updates_.store(0, std::memory_order_relaxed);
-    records_inserted_.store(0, std::memory_order_relaxed);
-    records_deleted_.store(0, std::memory_order_relaxed);
-    cache_invalidated_.store(0, std::memory_order_relaxed);
-    cache_retained_.store(0, std::memory_order_relaxed);
-    amortized_builds_.store(0, std::memory_order_relaxed);
-    amortized_reuses_.store(0, std::memory_order_relaxed);
-    sub_registered_.store(0, std::memory_order_relaxed);
-    sub_irrelevant_.store(0, std::memory_order_relaxed);
-    sub_delta_.store(0, std::memory_order_relaxed);
-    sub_rebuilds_.store(0, std::memory_order_relaxed);
-    sub_focal_gone_.store(0, std::memory_order_relaxed);
-    sub_events_.store(0, std::memory_order_relaxed);
+    KSPR_ENGINE_STATS_COUNTERS(KSPR_ZERO_COUNTER)
     latency_ns_total_.store(0, std::memory_order_relaxed);
     latency_ns_max_.store(0, std::memory_order_relaxed);
   }
 
  private:
-  std::atomic<int64_t> queries_{0};
-  std::atomic<int64_t> cache_hits_{0};
-  std::atomic<int64_t> cache_misses_{0};
-  std::atomic<int64_t> lp_calls_{0};
-  std::atomic<int64_t> regions_{0};
-  std::atomic<int64_t> updates_{0};
-  std::atomic<int64_t> records_inserted_{0};
-  std::atomic<int64_t> records_deleted_{0};
-  std::atomic<int64_t> cache_invalidated_{0};
-  std::atomic<int64_t> cache_retained_{0};
-  std::atomic<int64_t> amortized_builds_{0};
-  std::atomic<int64_t> amortized_reuses_{0};
-  std::atomic<int64_t> sub_registered_{0};
-  std::atomic<int64_t> sub_irrelevant_{0};
-  std::atomic<int64_t> sub_delta_{0};
-  std::atomic<int64_t> sub_rebuilds_{0};
-  std::atomic<int64_t> sub_focal_gone_{0};
-  std::atomic<int64_t> sub_events_{0};
+  static void Bump(std::atomic<int64_t>& counter, int64_t by = 1) {
+    counter.fetch_add(by, std::memory_order_relaxed);
+  }
+
+  KSPR_ENGINE_STATS_COUNTERS(KSPR_ATOMIC_COUNTER)
   std::atomic<int64_t> latency_ns_total_{0};
   std::atomic<int64_t> latency_ns_max_{0};
 };
@@ -195,72 +154,54 @@ class EngineStats {
 /// in one place.
 class TransportStats {
  public:
+#define KSPR_TRANSPORT_STATS_COUNTERS(X)                                    \
+  X(requests)        /* logical operations issued */                        \
+  X(retries)         /* extra attempts after a failed one */                \
+  X(timeouts)        /* attempts that hit the deadline */                   \
+  X(reconnects)      /* successful connects after a drop */                 \
+  X(connects)        /* successful connects, first included */              \
+  X(frame_errors)    /* poisoned frames (checksum/magic/size) */            \
+  X(failures)        /* operations that failed after all retries */         \
+  X(faults_injected) /* schedule actions actually applied */                \
+  X(replays)         /* update batches re-sent after recovery */
+
   struct Snapshot {
-    int64_t requests = 0;        // logical operations issued
-    int64_t retries = 0;         // extra attempts after a failed one
-    int64_t timeouts = 0;        // attempts that hit the deadline
-    int64_t reconnects = 0;      // successful connects after a drop
-    int64_t connects = 0;        // successful connects, first included
-    int64_t frame_errors = 0;    // poisoned frames (checksum/magic/size)
-    int64_t failures = 0;        // operations that failed after all retries
-    int64_t faults_injected = 0; // schedule actions actually applied
-    int64_t replays = 0;         // update batches re-sent after recovery
+    KSPR_TRANSPORT_STATS_COUNTERS(KSPR_SNAPSHOT_FIELD)
   };
 
-  void RecordRequest() { requests_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordRetry() { retries_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordTimeout() { timeouts_.fetch_add(1, std::memory_order_relaxed); }
+  void RecordRequest() { Bump(requests_); }
+  void RecordRetry() { Bump(retries_); }
+  void RecordTimeout() { Bump(timeouts_); }
   void RecordConnect(bool is_reconnect) {
-    connects_.fetch_add(1, std::memory_order_relaxed);
-    if (is_reconnect) reconnects_.fetch_add(1, std::memory_order_relaxed);
+    Bump(connects_);
+    if (is_reconnect) Bump(reconnects_);
   }
-  void RecordFrameError() {
-    frame_errors_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordFailure() { failures_.fetch_add(1, std::memory_order_relaxed); }
-  void RecordFaultInjected() {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void RecordReplay() { replays_.fetch_add(1, std::memory_order_relaxed); }
+  void RecordFrameError() { Bump(frame_errors_); }
+  void RecordFailure() { Bump(failures_); }
+  void RecordFaultInjected() { Bump(faults_injected_); }
+  void RecordReplay() { Bump(replays_); }
 
   Snapshot Get() const {
     Snapshot s;
-    s.requests = requests_.load(std::memory_order_relaxed);
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.timeouts = timeouts_.load(std::memory_order_relaxed);
-    s.reconnects = reconnects_.load(std::memory_order_relaxed);
-    s.connects = connects_.load(std::memory_order_relaxed);
-    s.frame_errors = frame_errors_.load(std::memory_order_relaxed);
-    s.failures = failures_.load(std::memory_order_relaxed);
-    s.faults_injected = faults_injected_.load(std::memory_order_relaxed);
-    s.replays = replays_.load(std::memory_order_relaxed);
+    KSPR_TRANSPORT_STATS_COUNTERS(KSPR_LOAD_COUNTER)
     return s;
   }
 
-  void Reset() {
-    requests_.store(0, std::memory_order_relaxed);
-    retries_.store(0, std::memory_order_relaxed);
-    timeouts_.store(0, std::memory_order_relaxed);
-    reconnects_.store(0, std::memory_order_relaxed);
-    connects_.store(0, std::memory_order_relaxed);
-    frame_errors_.store(0, std::memory_order_relaxed);
-    failures_.store(0, std::memory_order_relaxed);
-    faults_injected_.store(0, std::memory_order_relaxed);
-    replays_.store(0, std::memory_order_relaxed);
-  }
+  void Reset() { KSPR_TRANSPORT_STATS_COUNTERS(KSPR_ZERO_COUNTER) }
 
  private:
-  std::atomic<int64_t> requests_{0};
-  std::atomic<int64_t> retries_{0};
-  std::atomic<int64_t> timeouts_{0};
-  std::atomic<int64_t> reconnects_{0};
-  std::atomic<int64_t> connects_{0};
-  std::atomic<int64_t> frame_errors_{0};
-  std::atomic<int64_t> failures_{0};
-  std::atomic<int64_t> faults_injected_{0};
-  std::atomic<int64_t> replays_{0};
+  static void Bump(std::atomic<int64_t>& counter) {
+    counter.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  KSPR_TRANSPORT_STATS_COUNTERS(KSPR_ATOMIC_COUNTER)
 };
 
 }  // namespace kspr
+
+#undef KSPR_SNAPSHOT_FIELD
+#undef KSPR_ATOMIC_COUNTER
+#undef KSPR_LOAD_COUNTER
+#undef KSPR_ZERO_COUNTER
 
 #endif  // KSPR_ENGINE_ENGINE_STATS_H_

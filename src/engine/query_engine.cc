@@ -13,6 +13,11 @@ namespace kspr {
 
 namespace {
 
+// Update batches with at most this many delta records get the targeted
+// cache sweep (per-entry dominance test against each delta); larger
+// batches drop the whole cache, as the sweep cost approaches a rebuild.
+constexpr size_t kTargetedInvalidationMaxDelta = 16;
+
 // The engine's thread budget shares the core resolution policy (<= 0
 // means hardware concurrency).
 int ResolveWorkers(int requested) { return ResolveIntraThreads(requested); }
@@ -35,8 +40,6 @@ QueryEngine::QueryEngine(const Dataset* data, const RTree* index,
       solver_(data, index),
       cache_(options.cache_capacity),
       update_policy_(options.update_policy),
-      targeted_invalidation_max_delta_(
-          options.targeted_invalidation_max_delta),
       amortized_capacity_(options.amortized_contexts),
       subscriptions_(data, &stats_),
       pool_(PoolWorkers(options)) {
@@ -283,7 +286,7 @@ UpdateResult QueryEngine::ApplyUpdates(const UpdateBatch& batch) {
   // anywhere in preference space, so the query preprocessing drops them
   // and the region set is provably unchanged. Everything else (including
   // entries whose focal record was itself deleted) is dropped.
-  if (delta.size() <= targeted_invalidation_max_delta_) {
+  if (delta.size() <= kTargetedInvalidationMaxDelta) {
     auto drop = [&](const CacheKey& cached) {
       if (cached.focal_id != kInvalidRecord &&
           !data.IsLive(cached.focal_id)) {

@@ -96,11 +96,6 @@ struct EngineOptions {
   /// R-tree maintenance policy for ApplyUpdates.
   IndexUpdatePolicy update_policy = IndexUpdatePolicy::kIncremental;
 
-  /// Update batches with at most this many delta records get the targeted
-  /// cache sweep (per-entry dominance test against each delta); larger
-  /// batches drop the whole cache, as the sweep cost approaches a rebuild.
-  size_t targeted_invalidation_max_delta = 16;
-
   /// Cached amortized CTA contexts (0 disables the amortized query mode).
   /// Each context pins a CellTree for one (focal, options) pair; see
   /// QueryRequest::amortized.
@@ -303,7 +298,6 @@ class QueryEngine {
   ResultCache cache_;
   EngineStats stats_;
   IndexUpdatePolicy update_policy_ = IndexUpdatePolicy::kIncremental;
-  size_t targeted_invalidation_max_delta_ = 16;
   size_t amortized_capacity_ = 0;
 
   Mutex amortized_mu_;

@@ -10,44 +10,7 @@ LocalShardTransport::LocalShardTransport(
   assert(!workers.empty());
   shards_.reserve(workers.size());
   for (std::unique_ptr<ShardWorker>& worker : workers) {
-    auto shard = std::make_unique<Shard>();
-    shard->worker = std::move(worker);
-    shards_.push_back(std::move(shard));
-  }
-  // Threads start only after the vector is fully built so DrainLoop never
-  // observes a partially constructed transport.
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->thread = std::thread(&LocalShardTransport::DrainLoop, this,
-                                shard.get());
-  }
-}
-
-LocalShardTransport::~LocalShardTransport() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    {
-      MutexLock lock(&shard->mu);
-      shard->stop = true;
-    }
-    shard->cv.NotifyOne();
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) shard->thread.join();
-}
-
-void LocalShardTransport::DrainLoop(Shard* shard) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&shard->mu);
-      while (!shard->stop && shard->queue.empty()) shard->cv.Wait(shard->mu);
-      if (shard->queue.empty()) {
-        // stop was requested and the queue is drained: every issued
-        // future has been fulfilled.
-        return;
-      }
-      task = std::move(shard->queue.front());
-      shard->queue.pop_front();
-    }
-    task();
+    shards_.push_back(std::make_unique<Shard>(std::move(worker)));
   }
 }
 
@@ -60,12 +23,7 @@ auto LocalShardTransport::Enqueue(size_t shard_index, Fn fn)
   auto task = std::make_shared<std::packaged_task<Result(ShardWorker&)>>(
       std::move(fn));
   std::future<Result> future = task->get_future();
-  {
-    MutexLock lock(&shard->mu);
-    shard->queue.push_back(
-        [task, shard] { (*task)(*shard->worker); });
-  }
-  shard->cv.NotifyOne();
+  shard->queue.Post([task, shard](int) { (*task)(*shard->worker); });
   return future;
 }
 

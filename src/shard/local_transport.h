@@ -1,9 +1,9 @@
-// In-process ShardTransport: each shard is a thread group behind a local
-// FIFO queue.
+// In-process ShardTransport: each shard is a worker behind a local FIFO
+// queue.
 //
-// LocalShardTransport owns N ShardWorkers and N queue threads, one per
-// shard. Every transport call enqueues a closure on the target shard's
-// queue and returns a future; the shard's thread drains its queue in FIFO
+// LocalShardTransport owns N ShardWorkers and N one-thread ThreadPools,
+// one per shard. Every transport call enqueues a closure on the target
+// shard's pool and returns a future; the pool's thread drains it in FIFO
 // order, so all operations delivered to one shard are serialised with
 // happens-before between consecutive operations (the update/read
 // consistency the router depends on: a Candidates call enqueued after an
@@ -11,21 +11,20 @@
 // queues concurrently — a scatter to all shards executes genuinely in
 // parallel.
 //
-// This is the only transport implementation today; the interface it
-// implements (shard_transport.h) is message-shaped so a socket transport
-// can replace it without touching router or worker code.
+// The socket transport (socket_transport.h) implements the same
+// message-shaped interface (shard_transport.h) over loopback TCP, and
+// FaultInjectingTransport (fault_transport.h) decorates either; router and
+// worker code are the same for all of them.
 
 #ifndef KSPR_SHARD_LOCAL_TRANSPORT_H_
 #define KSPR_SHARD_LOCAL_TRANSPORT_H_
 
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/sync.h"
+#include "engine/thread_pool.h"
 #include "shard/shard_transport.h"
 #include "shard/shard_worker.h"
 
@@ -40,7 +39,7 @@ class LocalShardTransport : public ShardTransport {
 
   /// Drains every queue (all issued futures are fulfilled) and joins the
   /// shard threads.
-  ~LocalShardTransport() override;
+  ~LocalShardTransport() override = default;
 
   size_t num_shards() const override { return shards_.size(); }
 
@@ -54,16 +53,14 @@ class LocalShardTransport : public ShardTransport {
   std::future<bool> SaveSnapshot(size_t shard, std::string path) override;
 
  private:
-  /// One shard's queue + drain thread. The worker is only ever touched
-  /// from `thread`, which is what makes ShardWorker's no-internal-locking
-  /// contract sound.
+  /// One shard's worker + queue. The worker is only ever touched from
+  /// the queue's single thread, which is what makes ShardWorker's
+  /// no-internal-locking contract sound. `queue` is declared last so it
+  /// drains and joins before the worker is destroyed.
   struct Shard {
-    std::unique_ptr<ShardWorker> worker;  // touched only from `thread`
-    Mutex mu;
-    CondVar cv;
-    std::deque<std::function<void()>> queue KSPR_GUARDED_BY(mu);
-    bool stop KSPR_GUARDED_BY(mu) = false;
-    std::thread thread;
+    explicit Shard(std::unique_ptr<ShardWorker> w) : worker(std::move(w)) {}
+    std::unique_ptr<ShardWorker> worker;
+    ThreadPool queue{1};
   };
 
   /// Enqueues `fn(worker)` on shard `shard` and returns a future for its
@@ -71,8 +68,6 @@ class LocalShardTransport : public ShardTransport {
   template <typename Fn>
   auto Enqueue(size_t shard, Fn fn)
       -> std::future<decltype(fn(std::declval<ShardWorker&>()))>;
-
-  void DrainLoop(Shard* shard);
 
   std::vector<std::unique_ptr<Shard>> shards_;
 };

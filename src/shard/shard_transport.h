@@ -5,19 +5,20 @@
 // takes a plain-data request, returns a std::future of a plain-data
 // response, and carries no pointers into router or worker state — the
 // requests and responses below are exactly what a socket transport would
-// serialise. The only implementation today is LocalShardTransport
-// (local_transport.h), which runs each shard as an in-process thread
-// group behind a local queue; a remote transport is a drop-in for this
-// interface.
+// serialise. Three implementations exist: LocalShardTransport
+// (local_transport.h) runs each shard in-process behind a local queue,
+// SocketShardTransport (socket_transport.h) ships the same messages over
+// loopback TCP to ShardServers, and FaultInjectingTransport
+// (fault_transport.h) decorates either with deterministic failures.
 //
 // Thread-safety contract: every method may be called concurrently from
 // any number of router threads for any mix of shards. Implementations
-// must serialise the requests DELIVERED TO ONE SHARD (LocalShardTransport
-// does this with a per-shard FIFO queue drained by that shard's own
-// thread); requests to different shards proceed in parallel. The router
-// relies on per-shard FIFO order for update/read consistency: an
-// ApplyDelta followed by a Candidates call on the same shard must observe
-// the delta.
+// must serialise the requests DELIVERED TO ONE SHARD (the local and
+// socket transports do this with a per-shard FIFO queue drained by that
+// shard's own thread); requests to different shards proceed in parallel.
+// The router relies on per-shard FIFO order for update/read consistency:
+// an ApplyDelta followed by a Candidates call on the same shard must
+// observe the delta.
 
 #ifndef KSPR_SHARD_SHARD_TRANSPORT_H_
 #define KSPR_SHARD_SHARD_TRANSPORT_H_

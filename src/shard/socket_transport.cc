@@ -23,41 +23,9 @@ SocketShardTransport::SocketShardTransport(std::vector<uint16_t> ports,
   assert(!ports.empty());
   shards_.reserve(ports.size());
   for (size_t i = 0; i < ports.size(); ++i) {
-    auto shard = std::make_unique<Shard>();
-    shard->index = i;
-    shard->port = ports[i];
     // Distinct deterministic jitter stream per shard.
-    shard->jitter = std::make_unique<Rng>(options_.jitter_seed + i * 7919);
-    shards_.push_back(std::move(shard));
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    shard->thread =
-        std::thread(&SocketShardTransport::DrainLoop, this, shard.get());
-  }
-}
-
-SocketShardTransport::~SocketShardTransport() {
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    {
-      MutexLock lock(&shard->mu);
-      shard->stop = true;
-    }
-    shard->cv.NotifyOne();
-  }
-  for (std::unique_ptr<Shard>& shard : shards_) shard->thread.join();
-}
-
-void SocketShardTransport::DrainLoop(Shard* shard) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(&shard->mu);
-      while (!shard->stop && shard->queue.empty()) shard->cv.Wait(shard->mu);
-      if (shard->queue.empty()) return;  // stopped and drained
-      task = std::move(shard->queue.front());
-      shard->queue.pop_front();
-    }
-    task();
+    shards_.push_back(std::make_unique<Shard>(
+        i, ports[i], options_.jitter_seed + i * 7919));
   }
 }
 
@@ -66,14 +34,9 @@ auto SocketShardTransport::Enqueue(size_t shard_index, Fn fn)
     -> std::future<decltype(fn())> {
   using Result = decltype(fn());
   assert(shard_index < shards_.size());
-  Shard* shard = shards_[shard_index].get();
   auto task = std::make_shared<std::packaged_task<Result()>>(std::move(fn));
   std::future<Result> future = task->get_future();
-  {
-    MutexLock lock(&shard->mu);
-    shard->queue.push_back([task] { (*task)(); });
-  }
-  shard->cv.NotifyOne();
+  shards_[shard_index]->queue.Post([task](int) { (*task)(); });
   return future;
 }
 
@@ -96,7 +59,7 @@ void SocketShardTransport::BackoffSleep(Shard& shard,
   // Full jitter on top of the exponential base: desynchronises shard
   // supervisors that failed at the same instant.
   ms += static_cast<int64_t>(
-      shard.jitter->UniformInt(static_cast<uint64_t>(ms) + 1));
+      shard.jitter.UniformInt(static_cast<uint64_t>(ms) + 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
 }
 

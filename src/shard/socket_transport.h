@@ -2,8 +2,8 @@
 // per shard.
 //
 // Every transport call enqueues a job on the target shard's supervisor
-// thread and returns a future — the exact shape of LocalShardTransport's
-// per-shard FIFO queue, which is what preserves the per-shard ordering
+// thread (a one-thread ThreadPool) and returns a future — the same
+// per-shard FIFO queue LocalShardTransport uses, which is what preserves the per-shard ordering
 // contract (an ApplyDelta enqueued before a Candidates call reaches the
 // wire, and therefore the worker, first). What the supervisor adds is the
 // failure model:
@@ -31,16 +31,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "common/sync.h"
 #include "engine/engine_stats.h"
+#include "engine/thread_pool.h"
 #include "net/fault_schedule.h"
 #include "net/socket.h"
 #include "net/transport_error.h"
@@ -73,7 +70,7 @@ class SocketShardTransport : public ShardTransport {
 
   /// Drains every queue (all issued futures are fulfilled, possibly with
   /// TransportError) and joins the supervisors.
-  ~SocketShardTransport() override;
+  ~SocketShardTransport() override = default;
 
   size_t num_shards() const override { return shards_.size(); }
 
@@ -93,28 +90,26 @@ class SocketShardTransport : public ShardTransport {
 
  private:
   struct Shard {
-    size_t index = 0;
-    uint16_t port = 0;
+    Shard(size_t i, uint16_t p, uint64_t jitter_seed)
+        : index(i), port(p), jitter(jitter_seed) {}
+
+    const size_t index;
+    const uint16_t port;
     // Thread-confined supervisor state: conn, ever_connected, next_seq and
-    // jitter are touched only from `thread` (inside queued jobs), so they
-    // need no mutex — the queue handoff below provides the happens-before.
+    // jitter are touched only from the queue's thread (inside queued
+    // jobs), so they need no mutex — the queue handoff provides the
+    // happens-before.
     net::Socket conn;
     bool ever_connected = false; // distinguishes connect from reconnect
     uint64_t next_seq = 1;       // wire seq
-    std::unique_ptr<Rng> jitter;
+    Rng jitter;
     std::atomic<ShardHealth> health{ShardHealth::kUp};
-
-    Mutex mu;
-    CondVar cv;
-    std::deque<std::function<void()>> queue KSPR_GUARDED_BY(mu);
-    bool stop KSPR_GUARDED_BY(mu) = false;
-    std::thread thread;
+    // Declared last: drains and joins before the state its jobs touch.
+    ThreadPool queue{1};
   };
 
   template <typename Fn>
   auto Enqueue(size_t shard, Fn fn) -> std::future<decltype(fn())>;
-
-  void DrainLoop(Shard* shard);
 
   /// One logical operation: encode, attempt up to 1 + max_retries round
   /// trips, decode. Throws TransportError after the budget is exhausted.
@@ -133,8 +128,9 @@ class SocketShardTransport : public ShardTransport {
   void EnsureConnected(Shard& shard);
   void BackoffSleep(Shard& shard, int consecutive_failures);
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // options_ precedes shards_ so queued jobs, which read it, drain first.
   SocketTransportOptions options_;
+  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 }  // namespace kspr

@@ -1,14 +1,19 @@
 // Concurrent batch query engine tests: thread-pool and LRU-cache units,
+// the counter field lists of KsprStats / EngineStats / TransportStats,
 // bitwise identity of parallel batch results against serial KsprSolver
 // runs, cache-hit accounting, and drain-on-shutdown with queued work.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <future>
 #include <set>
 #include <vector>
 
+#include "common/stats.h"
+#include "core/region.h"
+#include "engine/engine_stats.h"
 #include "engine/query_engine.h"
 #include "engine/result_cache.h"
 #include "engine/thread_pool.h"
@@ -18,31 +23,6 @@ namespace kspr {
 namespace {
 
 using test::SyntheticInstance;
-
-// Exact (bitwise) equality of two full results, including geometry.
-bool SameResult(const KsprResult& a, const KsprResult& b) {
-  if (a.regions.size() != b.regions.size()) return false;
-  for (size_t i = 0; i < a.regions.size(); ++i) {
-    const Region& ra = a.regions[i];
-    const Region& rb = b.regions[i];
-    if (ra.dim != rb.dim || ra.space != rb.space) return false;
-    if (ra.rank_lb != rb.rank_lb || ra.rank_ub != rb.rank_ub) return false;
-    if (!(ra.witness == rb.witness)) return false;
-    if (ra.volume != rb.volume) return false;
-    if (ra.constraints.size() != rb.constraints.size()) return false;
-    for (size_t c = 0; c < ra.constraints.size(); ++c) {
-      if (ra.constraints[c].b != rb.constraints[c].b) return false;
-      if (!(ra.constraints[c].a == rb.constraints[c].a)) return false;
-    }
-    if (ra.vertices.size() != rb.vertices.size()) return false;
-    for (size_t v = 0; v < ra.vertices.size(); ++v) {
-      if (!(ra.vertices[v] == rb.vertices[v])) return false;
-    }
-  }
-  return a.stats.processed_records == b.stats.processed_records &&
-         a.stats.cell_tree_nodes == b.stats.cell_tree_nodes &&
-         a.stats.result_regions == b.stats.result_regions;
-}
 
 // --------------------------------------------------------------------------
 // ThreadPool
@@ -131,6 +111,96 @@ TEST(ResultCache, KeyDistinguishesOptions) {
 }
 
 // --------------------------------------------------------------------------
+// Counter field lists: every counter named in a list is compared, summed,
+// read and reset.
+
+TEST(StatsFieldLists, EachKsprStatsCounterIsComparedAndSummed) {
+  KsprStats base;
+  int64_t value = 1;
+#define KSPR_TEST_SET(name) base.name = value++;
+  KSPR_STATS_COUNTERS(KSPR_TEST_SET)
+#undef KSPR_TEST_SET
+  ASSERT_TRUE(StatsBitwiseEqual(base, base));
+
+  int counters = 0;
+#define KSPR_TEST_COUNTER(name)                                        \
+  {                                                                    \
+    ++counters;                                                        \
+    KsprStats perturbed = base;                                        \
+    ++perturbed.name;                                                  \
+    EXPECT_FALSE(StatsBitwiseEqual(base, perturbed)) << #name;         \
+    EXPECT_FALSE(StatsBitwiseEqual(perturbed, base)) << #name;         \
+    KsprStats only;                                                    \
+    only.name = 1000;                                                  \
+    KsprStats sum = base;                                              \
+    sum.Add(only);                                                     \
+    KsprStats expected = base;                                         \
+    expected.name += 1000;                                             \
+    EXPECT_EQ(std::memcmp(&sum, &expected, sizeof(KsprStats)), 0)      \
+        << #name;                                                      \
+  }
+  KSPR_STATS_COUNTERS(KSPR_TEST_COUNTER)
+#undef KSPR_TEST_COUNTER
+  EXPECT_EQ(static_cast<size_t>(counters) * sizeof(int64_t),
+            sizeof(KsprStats));
+}
+
+TEST(StatsFieldLists, EngineStatsRecordsReachEveryCounterAndResetZeroes) {
+  EngineStats stats;
+  KsprStats solver;
+  solver.feasibility_lps = 3;
+  solver.bound_lps = 2;
+  solver.finalize_lps = 1;
+  stats.RecordQuery(&solver, 4, 1.5);  // miss
+  stats.RecordQuery(nullptr, 4, 0.5);  // hit
+  stats.RecordUpdate(1, 2, 3, 4);
+  stats.RecordAmortizedBuild();
+  stats.RecordAmortizedReuse();
+  stats.RecordSubscriptionRegistered();
+  stats.RecordSubscriptionSweep(1, 2, 3, 4, 5);
+  stats.RecordSubscriptionEvent();
+
+  const EngineStats::Snapshot s = stats.Get();
+#define KSPR_TEST_NONZERO(name) EXPECT_NE(s.name, 0) << #name;
+  KSPR_ENGINE_STATS_COUNTERS(KSPR_TEST_NONZERO)
+  EXPECT_EQ(s.lp_calls, 6);
+  EXPECT_EQ(s.sub_events, 6);
+  EXPECT_DOUBLE_EQ(s.total_latency_ms, 2.0);
+  EXPECT_DOUBLE_EQ(s.max_latency_ms, 1.5);
+
+  stats.Reset();
+  const EngineStats::Snapshot z = stats.Get();
+#define KSPR_TEST_ZERO(name) EXPECT_EQ(z.name, 0) << #name;
+  KSPR_ENGINE_STATS_COUNTERS(KSPR_TEST_ZERO)
+  EXPECT_EQ(z.total_latency_ms, 0.0);
+  EXPECT_EQ(z.max_latency_ms, 0.0);
+}
+
+TEST(StatsFieldLists, TransportStatsRecordsReachEveryCounterAndResetZeroes) {
+  TransportStats stats;
+  stats.RecordRequest();
+  stats.RecordRetry();
+  stats.RecordTimeout();
+  stats.RecordConnect(/*is_reconnect=*/false);
+  stats.RecordConnect(/*is_reconnect=*/true);
+  stats.RecordFrameError();
+  stats.RecordFailure();
+  stats.RecordFaultInjected();
+  stats.RecordReplay();
+
+  const TransportStats::Snapshot s = stats.Get();
+  KSPR_TRANSPORT_STATS_COUNTERS(KSPR_TEST_NONZERO)
+  EXPECT_EQ(s.connects, 2);
+  EXPECT_EQ(s.reconnects, 1);
+
+  stats.Reset();
+  const TransportStats::Snapshot z = stats.Get();
+  KSPR_TRANSPORT_STATS_COUNTERS(KSPR_TEST_ZERO)
+}
+#undef KSPR_TEST_NONZERO
+#undef KSPR_TEST_ZERO
+
+// --------------------------------------------------------------------------
 // QueryEngine
 
 TEST(QueryEngine, ParallelBatchMatchesSerialSolverBitwise) {
@@ -161,7 +231,7 @@ TEST(QueryEngine, ParallelBatchMatchesSerialSolverBitwise) {
     EXPECT_FALSE(responses[i].cache_hit);
     KsprResult serial = inst.solver().QueryRecord(requests[i].focal_id,
                                                   requests[i].options);
-    EXPECT_TRUE(SameResult(*responses[i].result, serial))
+    EXPECT_TRUE(ResultsBitwiseEqual(*responses[i].result, serial))
         << "request " << i << " diverged from the serial solver";
   }
   EngineStats::Snapshot stats = engine.stats();
@@ -180,7 +250,7 @@ TEST(QueryEngine, HypotheticalFocalMatchesSolverQuery) {
   QueryResponse response = engine.Submit(request).get();
   ASSERT_NE(response.result, nullptr);
   KsprResult serial = inst.solver().Query(request.focal, request.options);
-  EXPECT_TRUE(SameResult(*response.result, serial));
+  EXPECT_TRUE(ResultsBitwiseEqual(*response.result, serial));
 }
 
 TEST(QueryEngine, CacheHitsReturnIdenticalResultsAndAreCounted) {
@@ -216,7 +286,7 @@ TEST(QueryEngine, CacheHitsReturnIdenticalResultsAndAreCounted) {
   EXPECT_EQ(engine.cache_size(), 0u);
   QueryResponse fourth = engine.SubmitRecord(inst.sky(0), options).get();
   EXPECT_FALSE(fourth.cache_hit);
-  EXPECT_TRUE(SameResult(*fourth.result, *first.result));
+  EXPECT_TRUE(ResultsBitwiseEqual(*fourth.result, *first.result));
 }
 
 TEST(QueryEngine, ShutdownWithQueuedWorkFulfillsEveryFuture) {

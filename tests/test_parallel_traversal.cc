@@ -19,58 +19,8 @@
 namespace kspr {
 namespace {
 
+using test::ExpectBitwiseEqual;
 using test::SyntheticInstance;
-
-// Full bitwise equality: every region field (doubles compared exactly) and
-// every counter of KsprStats.
-void ExpectBitwiseEqual(const KsprResult& a, const KsprResult& b,
-                        const char* what) {
-  ASSERT_EQ(a.regions.size(), b.regions.size()) << what;
-  for (size_t i = 0; i < a.regions.size(); ++i) {
-    const Region& ra = a.regions[i];
-    const Region& rb = b.regions[i];
-    EXPECT_EQ(ra.space, rb.space) << what << " region " << i;
-    EXPECT_EQ(ra.dim, rb.dim) << what << " region " << i;
-    EXPECT_EQ(ra.rank_lb, rb.rank_lb) << what << " region " << i;
-    EXPECT_EQ(ra.rank_ub, rb.rank_ub) << what << " region " << i;
-    EXPECT_TRUE(ra.witness == rb.witness) << what << " region " << i;
-    EXPECT_EQ(ra.volume, rb.volume) << what << " region " << i;
-    ASSERT_EQ(ra.constraints.size(), rb.constraints.size())
-        << what << " region " << i;
-    for (size_t c = 0; c < ra.constraints.size(); ++c) {
-      EXPECT_EQ(ra.constraints[c].b, rb.constraints[c].b)
-          << what << " region " << i << " constraint " << c;
-      EXPECT_TRUE(ra.constraints[c].a == rb.constraints[c].a)
-          << what << " region " << i << " constraint " << c;
-    }
-    ASSERT_EQ(ra.vertices.size(), rb.vertices.size())
-        << what << " region " << i;
-    for (size_t v = 0; v < ra.vertices.size(); ++v) {
-      EXPECT_TRUE(ra.vertices[v] == rb.vertices[v])
-          << what << " region " << i << " vertex " << v;
-    }
-  }
-  const KsprStats& sa = a.stats;
-  const KsprStats& sb = b.stats;
-  EXPECT_EQ(sa.processed_records, sb.processed_records) << what;
-  EXPECT_EQ(sa.cell_tree_nodes, sb.cell_tree_nodes) << what;
-  EXPECT_EQ(sa.live_leaves, sb.live_leaves) << what;
-  EXPECT_EQ(sa.feasibility_lps, sb.feasibility_lps) << what;
-  EXPECT_EQ(sa.bound_lps, sb.bound_lps) << what;
-  EXPECT_EQ(sa.finalize_lps, sb.finalize_lps) << what;
-  EXPECT_EQ(sa.witness_hits, sb.witness_hits) << what;
-  EXPECT_EQ(sa.dominance_shortcuts, sb.dominance_shortcuts) << what;
-  EXPECT_EQ(sa.lp_warm_starts, sb.lp_warm_starts) << what;
-  EXPECT_EQ(sa.lp_cold_starts, sb.lp_cold_starts) << what;
-  EXPECT_EQ(sa.lp_skipped_by_ball, sb.lp_skipped_by_ball) << what;
-  EXPECT_EQ(sa.constraints_full, sb.constraints_full) << what;
-  EXPECT_EQ(sa.constraints_used, sb.constraints_used) << what;
-  EXPECT_EQ(sa.lookahead_reported, sb.lookahead_reported) << what;
-  EXPECT_EQ(sa.lookahead_pruned, sb.lookahead_pruned) << what;
-  EXPECT_EQ(sa.batches, sb.batches) << what;
-  EXPECT_EQ(sa.bytes, sb.bytes) << what;
-  EXPECT_EQ(sa.result_regions, sb.result_regions) << what;
-}
 
 // --------------------------------------------------------------------------
 // ThreadTeam executor units.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/dataset.h"
+#include "common/stats.h"
 #include "core/options.h"
 #include "core/solver.h"
 #include "datagen/synthetic.h"
@@ -128,9 +129,9 @@ inline KsprResult FromScratch(const Dataset& data, RecordId focal,
 /// compared exactly, including order) and every KsprStats counter. Used by
 /// the parallel-traversal and dynamic-update suites, whose contracts are
 /// "identical to the serial / from-scratch run", not merely equivalent.
-/// The per-field EXPECTs give precise failure diagnostics; the final
-/// ResultsBitwiseEqual delegation is the authoritative (complete) check,
-/// so a stats field missing from the list below still fails the test.
+/// The per-field EXPECTs give precise failure diagnostics (one per counter,
+/// expanded from KSPR_STATS_COUNTERS); the final ResultsBitwiseEqual
+/// delegation is the authoritative check.
 inline void ExpectBitwiseEqual(const KsprResult& a, const KsprResult& b,
                                const char* what) {
   ASSERT_EQ(a.regions.size(), b.regions.size()) << what;
@@ -160,24 +161,10 @@ inline void ExpectBitwiseEqual(const KsprResult& a, const KsprResult& b,
   }
   const KsprStats& sa = a.stats;
   const KsprStats& sb = b.stats;
-  EXPECT_EQ(sa.processed_records, sb.processed_records) << what;
-  EXPECT_EQ(sa.cell_tree_nodes, sb.cell_tree_nodes) << what;
-  EXPECT_EQ(sa.live_leaves, sb.live_leaves) << what;
-  EXPECT_EQ(sa.feasibility_lps, sb.feasibility_lps) << what;
-  EXPECT_EQ(sa.bound_lps, sb.bound_lps) << what;
-  EXPECT_EQ(sa.finalize_lps, sb.finalize_lps) << what;
-  EXPECT_EQ(sa.witness_hits, sb.witness_hits) << what;
-  EXPECT_EQ(sa.dominance_shortcuts, sb.dominance_shortcuts) << what;
-  EXPECT_EQ(sa.lp_warm_starts, sb.lp_warm_starts) << what;
-  EXPECT_EQ(sa.lp_cold_starts, sb.lp_cold_starts) << what;
-  EXPECT_EQ(sa.lp_skipped_by_ball, sb.lp_skipped_by_ball) << what;
-  EXPECT_EQ(sa.constraints_full, sb.constraints_full) << what;
-  EXPECT_EQ(sa.constraints_used, sb.constraints_used) << what;
-  EXPECT_EQ(sa.lookahead_reported, sb.lookahead_reported) << what;
-  EXPECT_EQ(sa.lookahead_pruned, sb.lookahead_pruned) << what;
-  EXPECT_EQ(sa.batches, sb.batches) << what;
-  EXPECT_EQ(sa.bytes, sb.bytes) << what;
-  EXPECT_EQ(sa.result_regions, sb.result_regions) << what;
+#define KSPR_EXPECT_COUNTER_EQ(name) \
+  EXPECT_EQ(sa.name, sb.name) << what << " stats." #name;
+  KSPR_STATS_COUNTERS(KSPR_EXPECT_COUNTER_EQ)
+#undef KSPR_EXPECT_COUNTER_EQ
   EXPECT_TRUE(ResultsBitwiseEqual(a, b)) << what;
 }
 
