@@ -51,7 +51,7 @@
 // core/candidates.h); the extra "# shards" line reports the scatter
 // (candidates merged vs solved, per-shard skyband cache hits). Combines
 // with --updates and --subscribe — batches route as per-shard deltas and
-// subscribers classify against the merged skyband symmetric difference —
+// subscribers classify against the change of the global k-skyband —
 // but not with the engine-pool flags (--batch/--threads/--intra-threads/
 // --amortized) or the snapshot flags (--save/--load).
 //
@@ -547,9 +547,10 @@ int main(int argc, char** argv) {
                   ur.shards_touched, ur.cache_dropped, ur.cache_retained);
       if (ur.subscribers_examined > 0) {
         std::printf("# update %d subs: examined=%zu irrelevant=%zu "
-                    "notified=%zu terminated=%zu\n",
+                    "recomputed=%zu notified=%zu terminated=%zu\n",
                     u, ur.subscribers_examined, ur.subscribers_irrelevant,
-                    ur.subscribers_notified, ur.subscribers_terminated);
+                    ur.subscribers_recomputed, ur.subscribers_notified,
+                    ur.subscribers_terminated);
       }
       if (!data.IsLive(focal)) {
         if (focal_set) {

@@ -30,11 +30,13 @@ void Dataset::NormalizeToUnitBox() {
 }
 
 std::string Dataset::Summary() const {
-  std::string s = "Dataset(n=" + std::to_string(num_live_);
+  std::string s = "Dataset(n=";
+  s.append(std::to_string(num_live_));
   if (num_live_ != size()) {
-    s += "/" + std::to_string(size());  // live/slots when tombstones exist
+    s.append("/").append(std::to_string(size()));  // live/slots
   }
-  return s + ", d=" + std::to_string(dim_) + ")";
+  s.append(", d=").append(std::to_string(dim_)).append(")");
+  return s;
 }
 
 }  // namespace kspr

@@ -34,9 +34,12 @@
 //      requested algorithm with the focal as a hypothetical record.
 //
 // Step 3 is also what makes the router's update-time retention test
-// sound: a subscriber or cached result is provably untouched by a batch
-// iff its focal weakly dominates every record that entered or left a
-// shard skyband (see shard/shard_router.h).
+// exact. A focal's candidate list is sort(filter_f(kskyband(D))); if the
+// focal weakly dominates every record that entered or left the GLOBAL
+// k-skyband, the filter removes all of them and the list — hence the
+// result, bitwise — is unchanged. MergedSkyband below keeps the global
+// k-skyband at the router so that this diff is known per batch (see
+// shard/shard_router.h).
 
 #ifndef KSPR_CORE_CANDIDATES_H_
 #define KSPR_CORE_CANDIDATES_H_
@@ -81,6 +84,53 @@ void FilterFocalCovered(std::vector<Candidate>* candidates,
 /// insertion order (CTA inserts hyperplanes in dataset order, and the
 /// candidate Dataset is materialised in this order).
 void SortCandidates(std::vector<Candidate>* candidates);
+
+/// The merged union U of per-shard k-skybands for one k, kept across
+/// update batches: the members in ascending global id, each with its exact
+/// number of dominators inside U. The members with fewer than k dominators
+/// are the global k-skyband (step 2 above).
+///
+/// Global ids are never reused and records never change value, so two
+/// unions with the same id set are the same union; SameMembers is how a
+/// caller checks a fresh scatter against the kept state before reading
+/// GlobalSkyband from it.
+class MergedSkyband {
+ public:
+  explicit MergedSkyband(int k) : k_(k) {}
+
+  size_t size() const { return members_.size(); }
+
+  /// Replaces U with `candidates` (any order, distinct ids). O(|U|^2):
+  /// each pair of members is compared once.
+  void Assign(const std::vector<Candidate>& candidates);
+
+  /// Toggles every record of `changed` — the records that entered or left
+  /// some shard's local k-skyband, so the records of U_pre Δ U_post — into
+  /// or out of U, keeping every dominator count exact. Returns the records
+  /// whose global k-skyband membership flipped (G_pre Δ G_post), in
+  /// ascending id, with their values.
+  std::vector<Candidate> Apply(const std::vector<Candidate>& changed);
+
+  /// True iff `candidates` (any order, distinct ids) holds exactly U's ids.
+  bool SameMembers(const std::vector<Candidate>& candidates) const;
+
+  /// The members with fewer than k dominators inside U, in ascending id:
+  /// the result of ReduceToGlobalSkyband + SortCandidates over U.
+  std::vector<Candidate> GlobalSkyband() const;
+
+ private:
+  struct Member {
+    Candidate record;
+    int dominators = 0;
+  };
+
+  /// Index of `id` in members_, or of the first larger id.
+  size_t Position(RecordId id) const;
+  bool Contains(RecordId id) const;
+
+  int k_;
+  std::vector<Member> members_;  // ascending global id
+};
 
 /// Runs the merged arrangement: builds a Dataset holding exactly
 /// `candidates` (in their current order), bulk-loads an R-tree with the

@@ -27,11 +27,12 @@
 // A deleted focal terminates its subscription with a kFocalGone event.
 //
 // The sharded tier reuses this event vocabulary: ShardRouter::Subscribe
-// (shard/shard_router.h) classifies subscribers against the merged
-// per-shard skyband symmetric difference and emits the same
-// SubscriptionEvent stream (kInitial/kRebuild/kFocalGone) with the same
-// diff-replay contract, recomputing touched subscribers by scatter-gather
-// instead of maintaining an amortized context.
+// (shard/shard_router.h) classifies subscribers against the change of
+// the global k-skyband (exact: a focal that weakly dominates every
+// record entering or leaving it keeps its candidate list) and emits the
+// same SubscriptionEvent stream (kInitial/kRebuild/kFocalGone) with the
+// same diff-replay contract, recomputing touched subscribers by
+// scatter-gather instead of maintaining an amortized context.
 //
 // Correctness contract (gated by tests/test_subscriptions.cc and
 // bench/bench_subscriptions.cc): replaying the event stream — the

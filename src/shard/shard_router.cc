@@ -245,7 +245,19 @@ std::shared_ptr<const KsprResult> ShardRouter::ComputeLocked(
   }
   if (scatter != nullptr) scatter->candidates_merged = candidates.size();
 
-  ReduceToGlobalSkyband(&candidates, options.k);
+  if (failure->missing_shards.empty()) {
+    // A full scatter is the whole union U: read the global k-skyband off
+    // the kept band when U's id set is unchanged (equal ids mean equal
+    // values, ids are never reused), and rebuild the band from U when not.
+    MutexLock bands_lock(&bands_mu_);
+    MergedSkyband& band =
+        bands_.try_emplace(options.k, options.k).first->second;
+    if (!band.SameMembers(candidates)) band.Assign(candidates);
+    candidates = band.GlobalSkyband();
+  } else {
+    // Partial union (opt-in): reduce it on its own, band left alone.
+    ReduceToGlobalSkyband(&candidates, options.k);
+  }
   FilterFocalCovered(&candidates, focal);
   SortCandidates(&candidates);
   if (scatter != nullptr) scatter->candidates_solved = candidates.size();
@@ -422,6 +434,24 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   const bool degraded = !out.failed_shards.empty();
   out.status = degraded ? RouterStatus::kPartial : RouterStatus::kOk;
 
+  // Turn each tracked k's merged local diff (U_pre Δ U_post) into the
+  // global k-skyband diff through that k's band. A degraded batch or a
+  // replayed backlog leaves no band in step with the shards: drop them
+  // all, and the next clean scatter at each k rebuilds its band.
+  {
+    MutexLock bands_lock(&bands_mu_);
+    if (degraded || out.batches_replayed > 0) bands_.clear();
+    for (auto it = bands_.begin(); it != bands_.end();) {
+      auto diff = changed.find(it->first);
+      if (diff == changed.end()) {
+        it = bands_.erase(it);  // the shards did not report this k
+        continue;
+      }
+      diff->second = it->second.Apply(diff->second);
+      ++it;
+    }
+  }
+
   if (!degraded && effective == 0) {
     // Nothing changed anywhere: the version does not move and every
     // cached result and subscriber stays valid as-is.
@@ -432,11 +462,13 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   out.version = router_version_;
 
   // Phase 4 — front-end cache sweep. Normally: drop an entry unless its
-  // focal weakly dominates every record that entered or left a k-skyband
-  // (then its candidate set — hence regions AND stats — is provably
-  // unchanged, see core/candidates.h); survivors are restamped to the
-  // new version. Degraded: the failed shards' skyband diffs never
-  // arrived, so no entry can be proven untouched — drop everything.
+  // focal weakly dominates every record of `changed` at its k — the
+  // global k-skyband diff, or for a k without a band the merged local
+  // diff, a superset up to records a changed record dominates. Then its
+  // candidate set — hence regions AND stats — is provably unchanged (see
+  // core/candidates.h); survivors are restamped to the new version.
+  // Degraded: the failed shards' skyband diffs never arrived, so no entry
+  // can be proven untouched — drop everything.
   const auto untouched = [&changed](const Vec& focal, int k) {
     auto it = changed.find(k);
     if (it == changed.end()) return false;  // k never tracked: no proof
@@ -498,6 +530,7 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
       ++i;
       continue;
     }
+    ++out.subscribers_recomputed;
     ResultDiff diff = DiffResults(sub.current, *result);
     if (diff.Empty()) {
       // The skyband moved but this focal's candidate set did not.

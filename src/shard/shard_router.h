@@ -12,6 +12,10 @@
 //    and runs the canonical candidate pipeline of core/candidates.h —
 //    reduce to the GLOBAL k-skyband, drop focal-covered records, sort by
 //    global id, solve the cell-tree arrangement over the mini dataset.
+//    The reduction is read off a MergedSkyband the router keeps per k
+//    when the scattered union has the band's id set, and rebuilds the
+//    band from the scatter when not; the scatter is never skipped, so a
+//    band that drifted costs one rebuild and never a wrong answer.
 //    The distributed-skyband theorem (candidates.h) makes the candidate
 //    set — and therefore the returned regions AND KsprStats — independent
 //    of the shard count: results are bitwise-identical across N = 1, 2,
@@ -21,11 +25,20 @@
 //    mutation half of QueryEngine::ApplyUpdates, engine/query_engine.h;
 //    the transport serialises it per shard) and reports, for every k
 //    the router is serving, the records that entered or left its local
-//    k-skyband. The merged symmetric difference drives the router-level
-//    classification: a cached result or subscriber is provably untouched
-//    iff its focal weakly dominates every changed record at its k —
-//    untouched cache entries are restamped to the new router version
-//    (engine/result_cache.h), untouched subscribers get no event.
+//    k-skyband. Passed through the k's MergedSkyband, the merged local
+//    changes become the GLOBAL k-skyband diff G_pre Δ G_post, which
+//    drives the router-level classification: a cached result or
+//    subscriber is untouched when its focal weakly dominates every record
+//    of that diff at its k. This is exact — the focal's candidate list
+//    sort(filter_f(G)) is the same list before and after, so the result
+//    is bitwise the same — and it does not depend on the shard count: at
+//    one shard the global diff is the local diff. Untouched cache entries
+//    are restamped to the new router version (engine/result_cache.h),
+//    untouched subscribers get no event. A k without a band (none built
+//    yet, or dropped by a degraded batch or a replay) falls back to the
+//    merged local diff, which is sound but coarser: every record whose
+//    global membership flipped is a changed record or is dominated by
+//    one.
 //  * Subscribe: standing queries in the engine/subscription.h event
 //    vocabulary (kInitial/kRebuild/kFocalGone); touched subscribers are
 //    recomputed through the same scatter-gather pipeline and receive a
@@ -174,7 +187,11 @@ struct RouterUpdateResult {
   size_t cache_dropped = 0;
   size_t cache_retained = 0;
   size_t subscribers_examined = 0;
-  size_t subscribers_irrelevant = 0;  // proven untouched, nothing emitted
+  /// Nothing emitted: proven untouched, or recomputed and unchanged.
+  size_t subscribers_irrelevant = 0;
+  /// Re-solved through scatter-gather, changed or not (the unchanged ones
+  /// are also counted irrelevant).
+  size_t subscribers_recomputed = 0;
   size_t subscribers_notified = 0;    // diff events delivered
   size_t subscribers_terminated = 0;  // focal deleted by this batch
   /// kOk: every touched shard applied its slice. kPartial: the slices for
@@ -254,8 +271,11 @@ class ShardRouter {
   RouterQueryResult Query(const Vec& focal, const KsprOptions& options);
 
   /// Applies a global mutation batch: routes per-shard deltas, gathers
-  /// the merged per-k skyband symmetric difference, sweeps the front-end
-  /// cache (drop vs restamp) and classifies every subscriber.
+  /// the merged per-k local skyband changes, turns them into each k's
+  /// global k-skyband diff through the router's bands, sweeps the
+  /// front-end cache (drop vs restamp) and classifies every subscriber
+  /// against that diff: untouched iff the focal weakly dominates every
+  /// record that entered or left the global k-skyband.
   RouterUpdateResult ApplyUpdates(const RouterUpdateBatch& batch);
 
   /// Registers global record `focal_id` as a standing query; the kInitial
@@ -292,9 +312,9 @@ class ShardRouter {
   };
 
   /// The scatter-gather pipeline: per-shard skybands -> merge -> global
-  /// reduce -> focal filter -> sort -> mini arrangement. Shard failures
-  /// land in `failure`; returns null when shards are missing and partial
-  /// serving is off.
+  /// reduce (off the k's band after a full scatter) -> focal filter ->
+  /// sort -> mini arrangement. Shard failures land in `failure`; returns
+  /// null when shards are missing and partial serving is off.
   std::shared_ptr<const KsprResult> ComputeLocked(
       const Vec& focal, RecordId focal_id, const KsprOptions& options,
       ShardQueryStats* scatter, ScatterFailure* failure)
@@ -361,6 +381,13 @@ class ShardRouter {
   /// update_mu_ only shared.
   mutable Mutex ks_mu_;
   std::set<int> active_ks_ KSPR_GUARDED_BY(ks_mu_);
+
+  /// The global k-skyband per k, kept from the last full scatter through
+  /// every clean batch's changes since (core/candidates.h). Queries read
+  /// and rebuild bands under update_mu_ shared, hence their own mutex;
+  /// the subscriber sweep takes it under subs_mu_, never the other way.
+  Mutex bands_mu_;
+  std::map<int, MergedSkyband> bands_ KSPR_GUARDED_BY(bands_mu_);
 
   mutable Mutex subs_mu_;
   SubscriptionId next_subscription_ KSPR_GUARDED_BY(subs_mu_) = 0;

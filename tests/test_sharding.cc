@@ -17,11 +17,13 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/dataset.h"
+#include "common/rng.h"
 #include "common/shard_map.h"
 #include "core/candidates.h"
 #include "core/cta.h"
@@ -573,6 +575,99 @@ TEST(ShardingSubscriptionTest, IrrelevantBatchEmitsNothing) {
   EXPECT_FALSE(router->Unsubscribe(id));
 }
 
+// The fields of an update outcome that must not depend on the shard
+// count: the classification verdicts and the version.
+struct Classification {
+  uint64_t version = 0;
+  size_t cache_dropped = 0;
+  size_t cache_retained = 0;
+  size_t subscribers_irrelevant = 0;
+  size_t subscribers_notified = 0;
+
+  explicit Classification(const RouterUpdateResult& u)
+      : version(u.version),
+        cache_dropped(u.cache_dropped),
+        cache_retained(u.cache_retained),
+        subscribers_irrelevant(u.subscribers_irrelevant),
+        subscribers_notified(u.subscribers_notified) {}
+  bool operator==(const Classification&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Classification& c) {
+  return os << "version=" << c.version << " dropped=" << c.cache_dropped
+            << " retained=" << c.cache_retained
+            << " irrelevant=" << c.subscribers_irrelevant
+            << " notified=" << c.subscribers_notified;
+}
+
+// The router classifies a batch by the change of the GLOBAL k-skyband, so
+// the cache drops and restamps and the subscriber outcomes are the same at
+// every shard count, over sockets too. A random insert that k records
+// dominate overall often has fewer than k dominators on its own shard and
+// enters that shard's local skyband; it must still touch nothing.
+TEST(ShardingUpdateTest, ClassificationIndependentOfShardCount) {
+  const Dataset data = GenerateIndependent(200, 3, 131);
+  const int k = 3;
+  const KsprOptions options = QueryOptions(Algorithm::kCta, k);
+  const RTree tree = RTree::BulkLoad(data, kTestLeafCapacity, kTestFanout);
+  const std::vector<RecordId> skyline = KSkyband(data, tree, 1);
+  ASSERT_GE(skyline.size(), 4u);
+
+  std::vector<std::unique_ptr<ShardRouter>> routers;
+  for (size_t n : kShardCounts) {
+    routers.push_back(ShardRouter::CreateLocal(data, TestRouterOptions(n)));
+  }
+  RouterOptions socket = TestRouterOptions(4);
+  socket.transport = TransportKind::kSocket;
+  routers.push_back(ShardRouter::Create(data, socket));
+  for (auto& router : routers) {
+    for (size_t i = 0; i < 3; ++i) {
+      ASSERT_NE(router->Subscribe(skyline[i], options,
+                                  [](const SubscriptionEvent&) {}),
+                kInvalidSubscription);
+    }
+  }
+
+  Rng rng(137);
+  size_t touched_batches = 0;
+  for (int round = 0; round < 20; ++round) {
+    const RecordId focal = skyline[rng.UniformInt(skyline.size())];
+    Vec what_if = data.Get(skyline[rng.UniformInt(skyline.size())]);
+    for (int j = 0; j < what_if.dim; ++j) what_if.v[j] *= 0.97;
+    RouterUpdateBatch batch;
+    for (int i = 0; i < 3; ++i) {
+      Vec v(3);
+      for (int j = 0; j < 3; ++j) v.v[j] = rng.Uniform();
+      batch.inserts.push_back(v);
+    }
+
+    std::vector<std::shared_ptr<const KsprResult>> answers;
+    std::vector<Classification> outcomes;
+    for (auto& router : routers) {
+      RouterQueryResult by_id = router->Query(focal, options);
+      RouterQueryResult by_value = router->Query(what_if, options);
+      ASSERT_EQ(by_id.status, RouterStatus::kOk);
+      ASSERT_EQ(by_value.status, RouterStatus::kOk);
+      answers.push_back(by_id.result);
+      answers.push_back(by_value.result);
+      const RouterUpdateResult u = router->ApplyUpdates(batch);
+      ASSERT_EQ(u.status, RouterStatus::kOk);
+      EXPECT_LE(u.subscribers_notified, u.subscribers_recomputed);
+      outcomes.emplace_back(u);
+    }
+    for (size_t r = 1; r < routers.size(); ++r) {
+      ExpectBitwiseEqual(*answers[0], *answers[2 * r], "record focal");
+      ExpectBitwiseEqual(*answers[1], *answers[2 * r + 1], "what-if focal");
+      EXPECT_EQ(outcomes[0], outcomes[r])
+          << "round " << round << ", router " << r;
+    }
+    if (outcomes[0].cache_dropped > 0) ++touched_batches;
+  }
+  // The sequence exercises both verdicts.
+  EXPECT_GT(touched_batches, 0u);
+  EXPECT_LT(touched_batches, 20u);
+}
+
 // Per-shard snapshots: SaveSnapshots writes one paged snapshot per shard;
 // reopening them disk-backed reconstitutes a router whose answers are
 // bitwise-identical to the original in-memory deployment.
@@ -913,7 +1008,8 @@ TEST(ShardServerTest, TwoClientsAreSerialised) {
   SocketShardTransport writer({server.port()}, socket);
 
   std::atomic<bool> done{false};
-  int reads = 0;
+  std::atomic<int> reads{0};
+  std::atomic<bool> reader_stopped{false};
   bool versions_monotonic = true;
   std::string reader_error;
   std::thread reader_thread([&] {
@@ -929,8 +1025,15 @@ TEST(ShardServerTest, TwoClientsAreSerialised) {
     } catch (const std::exception& e) {
       reader_error = e.what();
     }
+    reader_stopped.store(true);
   });
 
+  // The writes start once the reader has been served, so the two clients'
+  // requests overlap; on a loaded host the 20 batches can otherwise finish
+  // before the reader's first request lands.
+  while (reads.load() == 0 && !reader_stopped.load()) {
+    std::this_thread::yield();
+  }
   Dataset mirror = data;
   std::string writer_error;
   try {
@@ -958,7 +1061,7 @@ TEST(ShardServerTest, TwoClientsAreSerialised) {
   reader_thread.join();
   ASSERT_EQ(writer_error, "");
   ASSERT_EQ(reader_error, "");
-  EXPECT_GT(reads, 0);
+  EXPECT_GT(reads.load(), 0);
   EXPECT_TRUE(versions_monotonic);
 
   const CandidateResponse final_band =
@@ -1105,6 +1208,88 @@ TEST(DegradedModeTest, UpdateBacklogReplaysInOrder) {
   ASSERT_EQ(got.status, RouterStatus::kOk) << got.error;
   ExpectBitwiseEqual(*clean->Query(focal, q).result, *got.result,
                      "post-replay convergence");
+}
+
+// A failed batch leaves the router's global k-skyband bands out of step
+// with the shards, so it drops them; the replay and the next clean
+// scatter rebuild them. Answers then equal a cold single-shard router,
+// and batches classify as on a clean single-shard router again.
+TEST(DegradedModeTest, ClassificationRecoversAfterFailedBatch) {
+  const Dataset data = GenerateIndependent(60, 3, 139);
+  ASSERT_EQ(data.size() % 2, 0);  // insert ids alternate shards below
+  const KsprOptions q = QueryOptions(Algorithm::kCta, 2);
+  const RecordId focal = MaxSumRecord(data);
+  const Vec what_if{0.8, 0.75, 0.8};
+
+  // Shard 1's 13th request is a batch's slice: after the two set-up
+  // scatters, each clean batch sends shard 1 its slice and, when it
+  // touches the subscriber, a recompute scatter.
+  auto faulty = FaultyLocalRouter(data, "drop@13#1", TestRouterOptions(2));
+  auto reference = ShardRouter::CreateLocal(data, TestRouterOptions(1));
+  for (ShardRouter* router : {faulty.get(), reference.get()}) {
+    ASSERT_NE(router->Subscribe(focal, q, [](const SubscriptionEvent&) {}),
+              kInvalidSubscription);
+    ASSERT_EQ(router->Query(what_if, q).status, RouterStatus::kOk);
+  }
+
+  // Two inserts per batch (one per shard): a deep record and one near
+  // the top, so batches both restamp and drop.
+  Rng rng(149);
+  const auto next_batch = [&rng] {
+    RouterUpdateBatch batch;
+    Vec deep(3), high(3);
+    for (int j = 0; j < 3; ++j) {
+      deep.v[j] = rng.Uniform(0.2, 0.7);
+      high.v[j] = rng.Uniform(0.75, 1.0);
+    }
+    batch.inserts = {deep, high};
+    return batch;
+  };
+  Dataset mirror = data;
+  const auto apply_both = [&](const RouterUpdateBatch& batch) {
+    for (const Vec& v : batch.inserts) mirror.Insert(v);
+    return std::make_pair(reference->ApplyUpdates(batch),
+                          faulty->ApplyUpdates(batch));
+  };
+
+  size_t failed_at = 0;
+  for (;; ++failed_at) {
+    ASSERT_LT(failed_at, 8u) << "the scheduled drop never hit a batch";
+    const auto [want, got] = apply_both(next_batch());
+    if (got.status == RouterStatus::kPartial) break;
+    ASSERT_EQ(got.status, RouterStatus::kOk) << got.error;
+    EXPECT_EQ(Classification(want), Classification(got))
+        << "clean batch " << failed_at;
+  }
+  EXPECT_GT(failed_at, 0u);
+
+  // The next batch replays the failed slice first; its full subscriber
+  // sweep rebuilds the band from a clean scatter.
+  const auto [want_replay, replay] = apply_both(next_batch());
+  ASSERT_EQ(replay.status, RouterStatus::kOk) << replay.error;
+  EXPECT_EQ(replay.batches_replayed, 1u);
+  EXPECT_EQ(replay.version, want_replay.version);
+
+  // Clean queries: bitwise equal to a cold single-shard router over the
+  // mirrored data. Both routers now cache the same two entries.
+  auto cold = ShardRouter::CreateLocal(mirror, TestRouterOptions(1));
+  const auto check = [&](auto&& query) {
+    RouterQueryResult got = query(*faulty);
+    ASSERT_EQ(got.status, RouterStatus::kOk) << got.error;
+    ExpectBitwiseEqual(*query(*cold).result, *got.result,
+                       "after replay vs cold");
+    ExpectBitwiseEqual(*query(*reference).result, *got.result,
+                       "after replay vs reference");
+  };
+  check([&](ShardRouter& r) { return r.Query(focal, q); });
+  check([&](ShardRouter& r) { return r.Query(what_if, q); });
+
+  for (int b = 0; b < 3; ++b) {
+    const auto [want, got] = apply_both(next_batch());
+    ASSERT_EQ(got.status, RouterStatus::kOk) << got.error;
+    EXPECT_EQ(Classification(want), Classification(got))
+        << "batch " << b << " after recovery";
+  }
 }
 
 // RouterOptions::shard_timeout_ms bounds every shard wait — including
