@@ -178,15 +178,6 @@ FeasibilityResult TestInterior(Space space, int dim,
       stats);
 }
 
-FeasibilityResult TestInteriorRaw(int dim, const std::vector<LinIneq>& cons,
-                                  KsprStats* stats) {
-  lp::Problem& p = Scratch().problem;
-  SetBallObjective(&p, dim);
-  p.rows.Reset(dim + 2);
-  for (const LinIneq& c : cons) AddBallRowTo(&p.rows, dim, c.a, c.b);
-  return RunBallTest(dim, static_cast<int64_t>(cons.size()), stats);
-}
-
 namespace {
 
 BoundResult Bound(Space space, int dim, const Vec& obj, double obj_const,

@@ -28,8 +28,8 @@
 //      dual-appended) and each Minimize/Maximize only reloads the
 //      objective and re-optimises primally from the current basis.
 //   3. TestInterior / MinimizeOverCell / MaximizeOverCell — one-shot
-//      wrappers for callers without an incremental structure (baselines,
-//      finalisation, benches, tests). They share the flat ConstraintBuffer
+//      wrappers for callers without an incremental structure (benches and
+//      tests; no src/ code calls them). They share the flat ConstraintBuffer
 //      problem representation, so even the cold path allocates nothing
 //      once its thread arena is warm.
 //
@@ -95,11 +95,6 @@ struct FeasibilityResult {
 FeasibilityResult TestInterior(Space space, int dim,
                                const std::vector<LinIneq>& cons,
                                KsprStats* stats);
-
-/// As above but with fully caller-supplied constraints (no implicit space
-/// bounds); used by the iMaxRank quad-tree whose leaves are boxes.
-FeasibilityResult TestInteriorRaw(int dim, const std::vector<LinIneq>& cons,
-                                  KsprStats* stats);
 
 struct BoundResult {
   bool ok = false;

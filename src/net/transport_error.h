@@ -16,8 +16,8 @@
 // errors (state machine documented in docs/ARCHITECTURE.md):
 //
 //   kUp        last operation succeeded, no replay backlog
-//   kDegraded  recovered through retries, or updates pending replay —
-//              serving this shard may be slow or stale
+//   kDegraded  update batches pending replay — the shard serves stale
+//              state and is left out of query scatters
 //   kDown      last operation failed after the full retry budget
 
 #ifndef KSPR_NET_TRANSPORT_ERROR_H_

@@ -291,14 +291,6 @@ RouterQueryResult ShardRouter::QueryLocked(const Vec& focal,
     return out;
   }
   cache_.Put(key, out.result);
-  {
-    // Every k with a live cache entry or subscriber must be in
-    // active_ks_ BEFORE the next update batch runs its sweep; updates
-    // hold the writer lock, so recording here (still under the shared
-    // lock) is early enough.
-    MutexLock lock(&ks_mu_);
-    active_ks_.insert(options.k);
-  }
   return out;
 }
 
@@ -360,10 +352,12 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
     }
   }
 
+  // The tracked ks are the banded ones: the full scatter that cached an
+  // entry or started a subscriber built its k's band.
   std::vector<int> ks;
   {
-    MutexLock ks_lock(&ks_mu_);
-    ks.assign(active_ks_.begin(), active_ks_.end());
+    MutexLock bands_lock(&bands_mu_);
+    for (const auto& [k, band] : bands_) ks.push_back(k);
   }
 
   // Phase 1 — route the batch into per-shard deltas; the router assigns
@@ -410,15 +404,14 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   // retry budget gets its slice queued for replay; the batch is
   // all-or-nothing per shard (one ApplyDelta call worker-side).
   size_t effective = 0;
-  std::map<int, std::vector<Candidate>> changed;
-  for (int k : ks) changed[k];  // every tracked k present, even if empty
+  std::map<int, std::vector<Candidate>> local;  // merged U_pre Δ U_post
   for (auto& [s, future] : futures) {
     try {
       ShardUpdateResponse response = AwaitShard(future, s);
       effective += response.inserts_applied + response.deletes_applied;
       out.deletes_applied += response.deletes_applied;
       for (SkybandChange& change : response.skyband_changes) {
-        std::vector<Candidate>& merged = changed[change.k];
+        std::vector<Candidate>& merged = local[change.k];
         merged.insert(merged.end(), change.changed.begin(),
                       change.changed.end());
       }
@@ -434,22 +427,15 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   const bool degraded = !out.failed_shards.empty();
   out.status = degraded ? RouterStatus::kPartial : RouterStatus::kOk;
 
-  // Turn each tracked k's merged local diff (U_pre Δ U_post) into the
-  // global k-skyband diff through that k's band. A degraded batch or a
-  // replayed backlog leaves no band in step with the shards: drop them
-  // all, and the next clean scatter at each k rebuilds its band.
+  // Turn each band's merged local diff into the global k-skyband diff.
+  // A degraded batch or a replayed backlog leaves no band in step with
+  // the shards: drop them all, and the next full scatter at each k
+  // rebuilds its band. A k without a band has no diff, hence no proof.
+  std::map<int, std::vector<Candidate>> changed;  // G_pre Δ G_post per k
   {
     MutexLock bands_lock(&bands_mu_);
     if (degraded || out.batches_replayed > 0) bands_.clear();
-    for (auto it = bands_.begin(); it != bands_.end();) {
-      auto diff = changed.find(it->first);
-      if (diff == changed.end()) {
-        it = bands_.erase(it);  // the shards did not report this k
-        continue;
-      }
-      diff->second = it->second.Apply(diff->second);
-      ++it;
-    }
+    for (auto& [k, band] : bands_) changed.emplace(k, band.Apply(local[k]));
   }
 
   if (!degraded && effective == 0) {
@@ -462,16 +448,15 @@ RouterUpdateResult ShardRouter::ApplyUpdates(const RouterUpdateBatch& batch) {
   out.version = router_version_;
 
   // Phase 4 — front-end cache sweep. Normally: drop an entry unless its
-  // focal weakly dominates every record of `changed` at its k — the
-  // global k-skyband diff, or for a k without a band the merged local
-  // diff, a superset up to records a changed record dominates. Then its
-  // candidate set — hence regions AND stats — is provably unchanged (see
-  // core/candidates.h); survivors are restamped to the new version.
+  // focal weakly dominates every record of its k's global k-skyband
+  // diff. Then its candidate set — hence regions AND stats — is provably
+  // unchanged (see core/candidates.h); survivors are restamped to the
+  // new version.
   // Degraded: the failed shards' skyband diffs never arrived, so no entry
   // can be proven untouched — drop everything.
   const auto untouched = [&changed](const Vec& focal, int k) {
     auto it = changed.find(k);
-    if (it == changed.end()) return false;  // k never tracked: no proof
+    if (it == changed.end()) return false;  // no band: no proof
     for (const Candidate& c : it->second) {
       if (!WeaklyDominates(focal, c.value)) return false;
     }

@@ -23,22 +23,21 @@
 //  * ApplyUpdates: the batch is split into per-shard versioned deltas;
 //    each shard applies its slice through ApplyMutationBatch (the
 //    mutation half of QueryEngine::ApplyUpdates, engine/query_engine.h;
-//    the transport serialises it per shard) and reports, for every k
-//    the router is serving, the records that entered or left its local
-//    k-skyband. Passed through the k's MergedSkyband, the merged local
-//    changes become the GLOBAL k-skyband diff G_pre Δ G_post, which
-//    drives the router-level classification: a cached result or
+//    the transport serialises it per shard) and reports, for every
+//    tracked k — each k with a band, which every full scatter builds —
+//    the records that entered or left its local k-skyband. Passed
+//    through the k's MergedSkyband, the merged local changes become the
+//    GLOBAL k-skyband diff G_pre Δ G_post, which drives the
+//    router-level classification: a cached result or
 //    subscriber is untouched when its focal weakly dominates every record
 //    of that diff at its k. This is exact — the focal's candidate list
 //    sort(filter_f(G)) is the same list before and after, so the result
 //    is bitwise the same — and it does not depend on the shard count: at
 //    one shard the global diff is the local diff. Untouched cache entries
 //    are restamped to the new router version (engine/result_cache.h),
-//    untouched subscribers get no event. A k without a band (none built
-//    yet, or dropped by a degraded batch or a replay) falls back to the
-//    merged local diff, which is sound but coarser: every record whose
-//    global membership flipped is a changed record or is dominated by
-//    one.
+//    untouched subscribers get no event. A degraded batch or a replay
+//    drops every band; a k without a band has no proof, so its cache
+//    entries drop and its subscribers are recomputed.
 //  * Subscribe: standing queries in the engine/subscription.h event
 //    vocabulary (kInitial/kRebuild/kFocalGone); touched subscribers are
 //    recomputed through the same scatter-gather pipeline and receive a
@@ -62,7 +61,6 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -374,18 +372,13 @@ class ShardRouter {
   /// Internally locked; entries restamped across no-op-for-them batches.
   ResultCache cache_;
 
-  /// Every k any cache entry or subscriber has used — the set of skyband
-  /// cardinalities update batches must report changes for. Grows
-  /// monotonically (a stale k only costs a little extra per-shard diff
-  /// work); it has its own mutex because Query records ks while holding
-  /// update_mu_ only shared.
-  mutable Mutex ks_mu_;
-  std::set<int> active_ks_ KSPR_GUARDED_BY(ks_mu_);
-
   /// The global k-skyband per k, kept from the last full scatter through
-  /// every clean batch's changes since (core/candidates.h). Queries read
-  /// and rebuild bands under update_mu_ shared, hence their own mutex;
-  /// the subscriber sweep takes it under subs_mu_, never the other way.
+  /// every clean batch's changes since (core/candidates.h). Its keys are
+  /// the tracked ks, the ones update batches ask shards to report
+  /// changes for: a full scatter builds its k's band, and a degraded
+  /// batch or a replay drops them all. Queries read and rebuild bands
+  /// under update_mu_ shared, hence their own mutex; the subscriber sweep
+  /// takes it under subs_mu_, never the other way.
   Mutex bands_mu_;
   std::map<int, MergedSkyband> bands_ KSPR_GUARDED_BY(bands_mu_);
 

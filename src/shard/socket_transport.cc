@@ -159,14 +159,10 @@ std::vector<uint8_t> SocketShardTransport::RoundTrip(
         // retrying cannot help. Connection and stream stay healthy.
         const net::ErrorBody err =
             net::DecodeErrorBody(payload.data(), payload.size());
-        shard.health.store(ShardHealth::kDegraded, std::memory_order_relaxed);
         if (options_.stats) options_.stats->RecordFailure();
         throw TransportError(TransportErrorKind::kRemote, shard.index,
                              err.message);
       }
-      shard.health.store(attempt == 0 ? ShardHealth::kUp
-                                      : ShardHealth::kDegraded,
-                         std::memory_order_relaxed);
       return payload;
     } catch (const net::SocketTimeout& e) {
       if (options_.stats) options_.stats->RecordTimeout();
@@ -184,7 +180,6 @@ std::vector<uint8_t> SocketShardTransport::RoundTrip(
     // seq must never be read by a later request).
     shard.conn.Close();
   }
-  shard.health.store(ShardHealth::kDown, std::memory_order_relaxed);
   if (options_.stats) options_.stats->RecordFailure();
   throw TransportError(last_kind, shard.index, last_what);
 }

@@ -20,7 +20,7 @@
 //   * optional frame-level fault injection (net::FaultSchedule) applied on
 //     the CLIENT side so drops / corruption / disconnects exercise the
 //     real timeout, checksum and reconnect paths,
-//   * per-shard health (UP / DEGRADED / DOWN) and shared TransportStats.
+//   * shared TransportStats counters; the router keeps per-shard health.
 //
 // Remote worker errors (kError frames) are NOT retried: the request
 // reached the worker and failed deterministically; retrying would just
@@ -29,7 +29,6 @@
 #ifndef KSPR_SHARD_SOCKET_TRANSPORT_H_
 #define KSPR_SHARD_SOCKET_TRANSPORT_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -83,11 +82,6 @@ class SocketShardTransport : public ShardTransport {
   std::future<ShardInfo> Info(size_t shard) override;
   std::future<bool> SaveSnapshot(size_t shard, std::string path) override;
 
-  ShardHealth health(size_t shard) const {
-    return shards_[shard]->health.load(std::memory_order_relaxed);
-  }
-  std::shared_ptr<TransportStats> stats() const { return options_.stats; }
-
  private:
   struct Shard {
     Shard(size_t i, uint16_t p, uint64_t jitter_seed)
@@ -103,7 +97,6 @@ class SocketShardTransport : public ShardTransport {
     bool ever_connected = false; // distinguishes connect from reconnect
     uint64_t next_seq = 1;       // wire seq
     Rng jitter;
-    std::atomic<ShardHealth> health{ShardHealth::kUp};
     // Declared last: drains and joins before the state its jobs touch.
     ThreadPool queue{1};
   };

@@ -1,7 +1,6 @@
 #include "storage/snapshot_reader.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -123,16 +122,6 @@ SnapshotReader::SnapshotReader(const std::string& path, Options options)
           std::to_string(header_.total_pages * kPageSize) + ")");
     }
 
-    if (options_.use_mmap) {
-      void* m = ::mmap(nullptr, static_cast<size_t>(st.st_size), PROT_READ,
-                       MAP_PRIVATE, fd_, 0);
-      if (m == MAP_FAILED) {
-        throw std::runtime_error("snapshot: mmap failed for " + path);
-      }
-      map_ = static_cast<const uint8_t*>(m);
-      map_len_ = static_cast<size_t>(st.st_size);
-    }
-
     // Dataset + directory pages are contiguous (pages 1 .. D+L): one
     // pread covers both, then each page verifies and unpacks into its
     // stream. This is the whole eager cost of Open.
@@ -227,9 +216,6 @@ SnapshotReader::SnapshotReader(const std::string& path, Options options)
       }
     }
   } catch (...) {
-    if (map_ != nullptr) {
-      ::munmap(const_cast<uint8_t*>(map_), map_len_);
-    }
     ::close(fd_);
     fd_ = -1;
     throw;
@@ -237,9 +223,6 @@ SnapshotReader::SnapshotReader(const std::string& path, Options options)
 }
 
 SnapshotReader::~SnapshotReader() {
-  if (map_ != nullptr) {
-    ::munmap(const_cast<uint8_t*>(map_), map_len_);
-  }
   if (fd_ >= 0) ::close(fd_);
 }
 
@@ -251,14 +234,6 @@ void SnapshotReader::ReadPages(int64_t first_page, int64_t count,
                                uint8_t* out) const {
   const int64_t off = first_page * kPageSize;
   const size_t len = static_cast<size_t>(count) * kPageSize;
-  if (map_ != nullptr) {
-    if (static_cast<size_t>(off) + len > map_len_) {
-      throw SnapshotError(path_ + ": page " + std::to_string(first_page) +
-                          " beyond mapped file");
-    }
-    std::memcpy(out, map_ + off, len);
-    return;
-  }
   // One pread covers the whole contiguous range (Open reads the dataset
   // and directory sections in a single call each); the loop only handles
   // short reads and EINTR.

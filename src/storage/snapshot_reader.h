@@ -32,9 +32,6 @@ class SnapshotReader {
     /// Verify every node page at open (O(file) open instead of O(header),
     /// but a corrupt node page fails fast instead of at first fault).
     bool verify_all = false;
-    /// Serve node reads from a read-only mmap of the file instead of
-    /// pread. Checksums are still verified per fetch.
-    bool use_mmap = false;
   };
 
   /// Opens and validates `path`. Throws SnapshotError for a malformed
@@ -68,7 +65,7 @@ class SnapshotReader {
   /// Retired slots in saved (LIFO reuse) order.
   const std::vector<int32_t>& free_list() const { return free_list_; }
 
-  /// Fetches and decodes node `slot` (one pread or mmap copy), verifying
+  /// Fetches and decodes node `slot` (one pread), verifying
   /// the page checksum, that every item names a record (leaf) or a live
   /// slot (internal) in range, and that a live node's count and MBR equal
   /// its directory summary bit for bit. Throws SnapshotError on any
@@ -88,8 +85,6 @@ class SnapshotReader {
   std::string path_;
   Options options_;
   int fd_ = -1;
-  const uint8_t* map_ = nullptr;  // non-null iff use_mmap
-  size_t map_len_ = 0;
   snapshot::Header header_;
   std::vector<uint8_t> dataset_stream_;
   std::vector<uint8_t> levels_;

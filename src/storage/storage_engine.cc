@@ -42,21 +42,16 @@ std::unique_ptr<StorageEngine> StorageEngine::Open(const std::string& path,
   std::unique_ptr<StorageEngine> engine(new StorageEngine);
   engine->path_ = path;
   engine->reader_ = std::make_unique<SnapshotReader>(
-      path, SnapshotReader::Options{.verify_all = options.verify_all,
-                                    .use_mmap = options.use_mmap});
+      path, SnapshotReader::Options{.verify_all = options.verify_all});
   const snapshot::Header& h = engine->reader_->header();
   engine->data_ = engine->reader_->RestoreDataset();
 
   engine->pool_ =
       std::make_unique<BufferPool>(engine->reader_.get(),
                                    options.buffer_pages);
-  if (h.num_levels > 0 &&
-      (!options.level_pages.empty() || options.per_level_sizing)) {
-    engine->level_capacities_ =
-        !options.level_pages.empty()
-            ? options.level_pages
-            : SizeLevels(engine->reader_->levels(), h.num_levels,
-                         options.buffer_pages);
+  if (h.num_levels > 0 && options.per_level_sizing) {
+    engine->level_capacities_ = SizeLevels(
+        engine->reader_->levels(), h.num_levels, options.buffer_pages);
     engine->pool_->ConfigureLevels(engine->reader_->levels(),
                                    engine->level_capacities_);
   }

@@ -52,16 +52,9 @@ struct StorageOptions {
   /// (budget permitting, min 1), leaves get the remainder.
   bool per_level_sizing = false;
 
-  /// Explicit per-level frame counts (level 0 = root). Overrides
-  /// buffer_pages/per_level_sizing when non-empty.
-  std::vector<int> level_pages;
-
   /// Verify every node page (checksum, ids, directory summary) at Open
   /// instead of lazily at fault.
   bool verify_all = false;
-
-  /// Serve node pages from a read-only mmap instead of pread.
-  bool use_mmap = false;
 };
 
 class StorageEngine {

@@ -1211,24 +1211,34 @@ TEST(DegradedModeTest, UpdateBacklogReplaysInOrder) {
 }
 
 // A failed batch leaves the router's global k-skyband bands out of step
-// with the shards, so it drops them; the replay and the next clean
-// scatter rebuild them. Answers then equal a cold single-shard router,
-// and batches classify as on a clean single-shard router again.
-TEST(DegradedModeTest, ClassificationRecoversAfterFailedBatch) {
+// with the shards, so it drops them; a replay drops them again, and the
+// next full scatter at each k rebuilds them. A 2-shard router whose
+// `schedule` fails one batch's slice on shard 1 runs beside a clean
+// 1-shard reference. With `replay_fails_again`, the next batch leaves
+// shard 1 alone and its replay fails again, so it returns kOk with
+// `error` set while no band exists: the one window where a tracked k
+// has none. Once a later batch drains the backlog, the subscriber's
+// replayed diffs and clean queries equal a cold single-shard router, and
+// batches classify as on the reference again.
+void CheckRecoveryAfterFailedBatch(const std::string& schedule,
+                                   bool replay_fails_again) {
   const Dataset data = GenerateIndependent(60, 3, 139);
   ASSERT_EQ(data.size() % 2, 0);  // insert ids alternate shards below
   const KsprOptions q = QueryOptions(Algorithm::kCta, 2);
   const RecordId focal = MaxSumRecord(data);
   const Vec what_if{0.8, 0.75, 0.8};
 
-  // Shard 1's 13th request is a batch's slice: after the two set-up
-  // scatters, each clean batch sends shard 1 its slice and, when it
-  // touches the subscriber, a recompute scatter.
-  auto faulty = FaultyLocalRouter(data, "drop@13#1", TestRouterOptions(2));
+  auto faulty = FaultyLocalRouter(data, schedule, TestRouterOptions(2));
   auto reference = ShardRouter::CreateLocal(data, TestRouterOptions(1));
+  KsprResult replayed;  // the faulty router's subscriber, diff by diff
+  ASSERT_NE(faulty->Subscribe(focal, q,
+                              [&replayed](const SubscriptionEvent& event) {
+                                ApplyResultDiff(event.diff, &replayed);
+                              }),
+            kInvalidSubscription);
+  ASSERT_NE(reference->Subscribe(focal, q, [](const SubscriptionEvent&) {}),
+            kInvalidSubscription);
   for (ShardRouter* router : {faulty.get(), reference.get()}) {
-    ASSERT_NE(router->Subscribe(focal, q, [](const SubscriptionEvent&) {}),
-              kInvalidSubscription);
     ASSERT_EQ(router->Query(what_if, q).status, RouterStatus::kOk);
   }
 
@@ -1263,16 +1273,41 @@ TEST(DegradedModeTest, ClassificationRecoversAfterFailedBatch) {
   }
   EXPECT_GT(failed_at, 0u);
 
+  if (replay_fails_again) {
+    // One insert with an even global id touches shard 0 only. The failed
+    // batch emptied the cache, so nothing can be retained.
+    ASSERT_EQ(faulty->next_global_id() % 2, 0);
+    RouterUpdateBatch shard0_only;
+    shard0_only.inserts = {Vec{0.85, 0.8, 0.9}};
+    const auto [want, got] = apply_both(shard0_only);
+    EXPECT_EQ(got.status, RouterStatus::kOk);
+    EXPECT_FALSE(got.error.empty());
+    EXPECT_TRUE(got.failed_shards.empty());
+    EXPECT_EQ(got.shards_touched, 1u);
+    EXPECT_EQ(got.batches_replayed, 0u);
+    EXPECT_EQ(got.cache_retained, 0u);
+    EXPECT_EQ(got.version, want.version);
+    EXPECT_EQ(faulty->shard_health(1), ShardHealth::kDown);
+    // Shard 1 still serves stale state: queries cannot complete.
+    EXPECT_EQ(faulty->Query(what_if, q).status, RouterStatus::kUnavailable);
+  }
+
   // The next batch replays the failed slice first; its full subscriber
-  // sweep rebuilds the band from a clean scatter.
+  // sweep recomputes from a clean scatter.
   const auto [want_replay, replay] = apply_both(next_batch());
   ASSERT_EQ(replay.status, RouterStatus::kOk) << replay.error;
+  EXPECT_TRUE(replay.error.empty()) << replay.error;
   EXPECT_EQ(replay.batches_replayed, 1u);
+  EXPECT_EQ(replay.subscribers_recomputed, 1u);
   EXPECT_EQ(replay.version, want_replay.version);
+  EXPECT_EQ(faulty->shard_health(1), ShardHealth::kUp);
 
-  // Clean queries: bitwise equal to a cold single-shard router over the
-  // mirrored data. Both routers now cache the same two entries.
+  // The replayed subscription and clean queries equal a cold
+  // single-shard router over the mirrored data. Both routers now cache
+  // the same two entries.
   auto cold = ShardRouter::CreateLocal(mirror, TestRouterOptions(1));
+  ExpectBitwiseEqual(*cold->Query(focal, q).result, replayed,
+                     "replayed subscription vs cold");
   const auto check = [&](auto&& query) {
     RouterQueryResult got = query(*faulty);
     ASSERT_EQ(got.status, RouterStatus::kOk) << got.error;
@@ -1290,6 +1325,22 @@ TEST(DegradedModeTest, ClassificationRecoversAfterFailedBatch) {
     EXPECT_EQ(Classification(want), Classification(got))
         << "batch " << b << " after recovery";
   }
+  ExpectBitwiseEqual(*reference->Query(focal, q).result, replayed,
+                     "replayed subscription after recovery");
+}
+
+// Shard 1's 13th request is a batch's slice: after the two set-up
+// scatters, each clean batch sends shard 1 its slice and, when it
+// touches the subscriber, a recompute scatter.
+TEST(DegradedModeTest, ClassificationRecoversAfterFailedBatch) {
+  CheckRecoveryAfterFailedBatch("drop@13#1", false);
+}
+
+// Shard 1's 13th request fails a batch's slice as above, and its 14th,
+// the next batch's replay of that slice; neither rule fires again
+// before the last shard-1 request.
+TEST(DegradedModeTest, ReplayFailingAgainOnUntouchedShard) {
+  CheckRecoveryAfterFailedBatch("drop@13#1,drop@14#1", true);
 }
 
 // RouterOptions::shard_timeout_ms bounds every shard wait — including
