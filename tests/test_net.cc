@@ -9,6 +9,8 @@
 //   2. Rejection — corrupted, truncated, oversized and trailing-garbage
 //      frames throw WireError rather than half-decode (a fuzz-style
 //      seeded loop flips every byte of real frames).
+//   3. Golden bytes — one filled-in instance of every payload and one
+//      frame header encode to pinned version-1 bytes.
 
 #include <gtest/gtest.h>
 
@@ -119,6 +121,183 @@ TEST(FrameTest, ChecksumCatchesEveryPayloadByteFlip) {
     EXPECT_THROW(VerifyPayload(header, corrupted.data()), WireError)
         << "flip at payload byte " << i << " undetected";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: one filled-in instance of every payload, pinned byte for
+// byte. A round trip cannot see a field that moved in the encoder and the
+// decoder alike; these cases can. The expected strings are the version-1
+// wire format and must never change while kWireVersion is 1.
+// ---------------------------------------------------------------------------
+
+std::string Hex(const std::vector<uint8_t>& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (uint8_t b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+double FromBits(uint64_t bits) {
+  double v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+// d = 8 with a NaN carrying a payload, a negative zero, a denormal and an
+// infinity beside ordinary values.
+Vec GoldenVec8() {
+  Vec v(8);
+  v.v = {0.5, -0.0, FromBits(0x7FF8000000000123ull), 1e300,
+         std::numeric_limits<double>::denorm_min(),
+         -std::numeric_limits<double>::infinity(), 0.1, -2.25};
+  return v;
+}
+
+TEST(GoldenBytesTest, FrameHeader) {
+  const std::vector<uint8_t> frame = EncodeFrame(
+      MessageType::kCandidatesResponse, 0x0102030405060708ull, {0xAB, 0xCD});
+  EXPECT_EQ(Hex(frame),
+            "5250534b"           // magic
+            "0100"               // version
+            "0200"               // type
+            "0807060504030201"   // seq
+            "02000000"           // payload_size
+            "65031bb6079b9709"   // checksum
+            "abcd");
+}
+
+TEST(GoldenBytesTest, CandidateRequest) {
+  EXPECT_EQ(Hex(Encode(CandidateRequest{-3})), "fdffffff");
+}
+
+TEST(GoldenBytesTest, CandidateResponse) {
+  CandidateResponse m;
+  m.shard_version = 0x1122334455667788ull;
+  m.from_cache = true;
+  m.candidates = {{7, GoldenVec8()}, {-1, Vec{1.0, 2.0}}};
+  EXPECT_EQ(Hex(Encode(m)),
+            "8877665544332211"   // shard_version
+            "01"                 // from_cache
+            "02000000"           // candidate count
+            "07000000"           // id
+            "08"                 // dim
+            "000000000000e03f"   // 0.5
+            "0000000000000080"   // -0.0
+            "230100000000f87f"   // NaN with payload
+            "9c7500883ce4377e"   // 1e300
+            "0100000000000000"   // denorm_min
+            "000000000000f0ff"   // -inf
+            "9a9999999999b93f"   // 0.1
+            "00000000000002c0"   // -2.25
+            "ffffffff"           // id
+            "02"                 // dim
+            "000000000000f03f"
+            "0000000000000040");
+}
+
+TEST(GoldenBytesTest, ShardUpdateRequest) {
+  ShardUpdateRequest m;
+  m.batch_seq = 42;
+  m.inserts = {{100, Vec{0.25, -0.0, 3.0}}};
+  m.delete_global_ids = {5, 6};
+  m.skyband_ks = {1, 4, 9};
+  EXPECT_EQ(Hex(Encode(m)),
+            "2a00000000000000"   // batch_seq
+            "01000000"           // insert count
+            "64000000"           // id
+            "03"                 // dim
+            "000000000000d03f"
+            "0000000000000080"
+            "0000000000000840"
+            "02000000"           // delete count
+            "05000000"
+            "06000000"
+            "03000000"           // k count
+            "01000000"
+            "04000000"
+            "09000000");
+}
+
+TEST(GoldenBytesTest, ShardUpdateResponse) {
+  ShardUpdateResponse m;
+  m.shard_version = 77;
+  m.inserts_applied = 3;
+  m.deletes_applied = 2;
+  m.skyband_changes = {{2, {{9, Vec{0.5}}}}, {4, {}}};
+  EXPECT_EQ(Hex(Encode(m)),
+            "4d00000000000000"   // shard_version
+            "0300000000000000"   // inserts_applied
+            "0200000000000000"   // deletes_applied
+            "02000000"           // change count
+            "02000000"           // k
+            "01000000"           // changed count
+            "09000000"           // id
+            "01"                 // dim
+            "000000000000e03f"
+            "04000000"           // k
+            "00000000");         // changed count
+}
+
+TEST(GoldenBytesTest, GetRecordRequest) {
+  EXPECT_EQ(Hex(EncodeGetRecordRequest(0x01020304)), "04030201");
+}
+
+TEST(GoldenBytesTest, RecordResponse) {
+  RecordResponse m;
+  m.known = true;
+  m.live = false;
+  m.value = GoldenVec8();
+  EXPECT_EQ(Hex(Encode(m)),
+            "01"                 // known
+            "00"                 // live
+            "08"                 // dim
+            "000000000000e03f"   // 0.5
+            "0000000000000080"   // -0.0
+            "230100000000f87f"   // NaN with payload
+            "9c7500883ce4377e"   // 1e300
+            "0100000000000000"   // denorm_min
+            "000000000000f0ff"   // -inf
+            "9a9999999999b93f"   // 0.1
+            "00000000000002c0");  // -2.25
+}
+
+TEST(GoldenBytesTest, InfoRequest) {
+  EXPECT_EQ(Hex(EncodeInfoRequest()), "");
+}
+
+TEST(GoldenBytesTest, ShardInfo) {
+  ShardInfo m;
+  m.shard_version = 0xFFFFFFFFFFFFFFFEull;
+  m.records_total = 1000;
+  m.records_live = -2;
+  m.reachable = false;  // router-side only: never on the wire
+  EXPECT_EQ(Hex(Encode(m)),
+            "feffffffffffffff"   // shard_version
+            "e8030000"           // records_total
+            "feffffff");         // records_live
+}
+
+TEST(GoldenBytesTest, SaveSnapshotRequest) {
+  EXPECT_EQ(Hex(EncodeSaveSnapshotRequest("/s/p.kspr")),
+            "09000000"           // length
+            "2f732f702e6b737072");
+}
+
+TEST(GoldenBytesTest, SaveSnapshotResponse) {
+  SaveSnapshotResponse m;
+  m.ok = false;
+  m.error = "full";
+  EXPECT_EQ(Hex(Encode(m)),
+            "00"                 // ok
+            "04000000"           // length
+            "66756c6c");
+}
+
+TEST(GoldenBytesTest, ErrorBody) {
+  EXPECT_EQ(Hex(Encode(ErrorBody{"boom"})), "04000000626f6f6d");
 }
 
 TEST(RoundTripTest, CandidateRequest) {
