@@ -26,7 +26,8 @@ on the offending line or the line directly above it):
                      fault schedules replay exactly.
 
   wire-count-bound   a decoder loop in src/net/wire.* bounded by a count read
-                     via raw .U32()/.U64(). Counts that size a loop must come
+                     via raw U32()/U64() (by value or into a variable by
+                     reference). Counts that size a loop must come
                      from WireReader::Count(min_elem_size), which caps the
                      count against the bytes actually remaining — otherwise a
                      hostile frame makes the decoder allocate/iterate 4G
@@ -73,7 +74,11 @@ NONDET_RES = [
     re.compile(r"\bmt19937(?:_64)?\s+\w+\s*;"),
 ]
 
-WIRE_RAW_COUNT_RE = re.compile(r"\b(\w+)\s*=\s*\w+(?:\.|->)U(?:32|64)\s*\(\s*\)")
+# A count read raw: `n = r.U32()`, `n = U32()` inside a reader member, or
+# `U32(n)` filling `n` by reference (the walk-shaped reader API).
+WIRE_RAW_COUNT_RE = re.compile(
+    r"\b(\w+)\s*=\s*(?:\w+(?:\.|->))?U(?:32|64)\s*\(\s*\)"
+    r"|\bU(?:32|64)\s*\(\s*(\w+)\s*\)")
 WIRE_SAFE_COUNT_RE = re.compile(r"\b(\w+)\s*=\s*\w+(?:\.|->)Count\s*\(")
 WIRE_LOOP_RE = re.compile(r"\bfor\s*\(.*?[<!]=?\s*(\w+)\s*;")
 
@@ -165,7 +170,7 @@ def check_wire_count_bound(path, lines):
         for m in WIRE_SAFE_COUNT_RE.finditer(line):
             raw_counts.pop(m.group(1), None)
         for m in WIRE_RAW_COUNT_RE.finditer(line):
-            raw_counts[m.group(1)] = i + 1
+            raw_counts[m.group(1) or m.group(2)] = i + 1
         loop = WIRE_LOOP_RE.search(line)
         if loop and loop.group(1) in raw_counts:
             if not is_allowed("wire-count-bound", lines, i):

@@ -1,32 +1,17 @@
 #include "net/wire.h"
 
+#include <cstdio>
+
 namespace kspr {
 namespace net {
 
 const char* ToString(MessageType type) {
   switch (type) {
-    case MessageType::kCandidatesRequest:
-      return "candidates-request";
-    case MessageType::kCandidatesResponse:
-      return "candidates-response";
-    case MessageType::kApplyDeltaRequest:
-      return "apply-delta-request";
-    case MessageType::kApplyDeltaResponse:
-      return "apply-delta-response";
-    case MessageType::kGetRecordRequest:
-      return "get-record-request";
-    case MessageType::kGetRecordResponse:
-      return "get-record-response";
-    case MessageType::kInfoRequest:
-      return "info-request";
-    case MessageType::kInfoResponse:
-      return "info-response";
-    case MessageType::kSaveSnapshotRequest:
-      return "save-snapshot-request";
-    case MessageType::kSaveSnapshotResponse:
-      return "save-snapshot-response";
-    case MessageType::kError:
-      return "error";
+#define KSPR_WIRE_NAME(name, code, text, Payload) \
+  case MessageType::name:                         \
+    return text;
+    KSPR_WIRE_MESSAGES(KSPR_WIRE_NAME)
+#undef KSPR_WIRE_NAME
   }
   return "?";
 }
@@ -42,49 +27,12 @@ uint64_t Fnv1a64(const uint8_t* data, size_t size) {
 
 namespace {
 
-void PutLe16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-
-void PutLe32(uint8_t* p, uint32_t v) {
-  for (int i = 0; i < 4; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-void PutLe64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
-uint16_t GetLe16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-
-uint32_t GetLe32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<uint32_t>(p[i]) << (8 * i);
-  return v;
-}
-
-uint64_t GetLe64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
 bool KnownType(uint16_t raw) {
-  switch (static_cast<MessageType>(raw)) {
-    case MessageType::kCandidatesRequest:
-    case MessageType::kCandidatesResponse:
-    case MessageType::kApplyDeltaRequest:
-    case MessageType::kApplyDeltaResponse:
-    case MessageType::kGetRecordRequest:
-    case MessageType::kGetRecordResponse:
-    case MessageType::kInfoRequest:
-    case MessageType::kInfoResponse:
-    case MessageType::kSaveSnapshotRequest:
-    case MessageType::kSaveSnapshotResponse:
-    case MessageType::kError:
-      return true;
+  switch (raw) {
+#define KSPR_WIRE_CODE(name, code, text, Payload) case code:
+    KSPR_WIRE_MESSAGES(KSPR_WIRE_CODE)
+#undef KSPR_WIRE_CODE
+    return true;
   }
   return false;
 }
@@ -97,43 +45,46 @@ std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t seq,
     throw WireError("encode: payload of " + std::to_string(payload.size()) +
                     " bytes exceeds kMaxFramePayload");
   }
-  std::vector<uint8_t> frame(kFrameHeaderSize + payload.size());
-  PutLe32(frame.data(), kWireMagic);
-  PutLe16(frame.data() + 4, kWireVersion);
-  PutLe16(frame.data() + 6, static_cast<uint16_t>(type));
-  PutLe64(frame.data() + 8, seq);
-  PutLe32(frame.data() + 16, static_cast<uint32_t>(payload.size()));
-  PutLe64(frame.data() + 20, Fnv1a64(payload.data(), payload.size()));
-  if (!payload.empty()) {
-    std::memcpy(frame.data() + kFrameHeaderSize, payload.data(),
-                payload.size());
-  }
-  return frame;
+  WireWriter w;
+  w.U32(kWireMagic);
+  w.U16(kWireVersion);
+  w.U16(static_cast<uint16_t>(type));
+  w.U64(seq);
+  w.U32(static_cast<uint32_t>(payload.size()));
+  w.U64(Fnv1a64(payload.data(), payload.size()));
+  w.Bytes(payload);
+  return w.Take();
 }
 
 FrameHeader DecodeFrameHeader(const uint8_t* buf) {
-  const uint32_t magic = GetLe32(buf);
+  WireReader r(buf, kFrameHeaderSize);
+  uint32_t magic = 0;
+  r.U32(magic);
   if (magic != kWireMagic) {
-    throw WireError("bad frame magic 0x" + std::to_string(magic));
+    char hex[9];
+    std::snprintf(hex, sizeof(hex), "%08x", static_cast<unsigned>(magic));
+    throw WireError(std::string("bad frame magic 0x") + hex);
   }
-  const uint16_t version = GetLe16(buf + 4);
+  uint16_t version = 0;
+  r.U16(version);
   if (version != kWireVersion) {
     throw WireError("unsupported wire version " + std::to_string(version));
   }
-  const uint16_t raw_type = GetLe16(buf + 6);
+  uint16_t raw_type = 0;
+  r.U16(raw_type);
   if (!KnownType(raw_type)) {
     throw WireError("unknown message type " + std::to_string(raw_type));
   }
   FrameHeader header;
   header.type = static_cast<MessageType>(raw_type);
-  header.seq = GetLe64(buf + 8);
-  header.payload_size = GetLe32(buf + 16);
+  r.U64(header.seq);
+  r.U32(header.payload_size);
   if (header.payload_size > kMaxFramePayload) {
     throw WireError("declared payload of " +
                     std::to_string(header.payload_size) +
                     " bytes exceeds kMaxFramePayload");
   }
-  header.checksum = GetLe64(buf + 20);
+  r.U64(header.checksum);
   return header;
 }
 
@@ -162,11 +113,6 @@ void WireWriter::VecField(const Vec& v) {
   for (int i = 0; i < v.dim; ++i) F64(v.v[i]);
 }
 
-uint8_t WireReader::U8() {
-  if (pos_ >= size_) throw WireError("payload truncated");
-  return data_[pos_++];
-}
-
 uint64_t WireReader::ReadLe(size_t n) {
   if (size_ - pos_ < n) throw WireError("payload truncated");
   uint64_t v = 0;
@@ -177,32 +123,33 @@ uint64_t WireReader::ReadLe(size_t n) {
   return v;
 }
 
-std::string WireReader::Str() {
-  const uint32_t len = U32();
+void WireReader::Str(std::string& s) {
+  uint32_t len = 0;
+  U32(len);
   if (remaining() < len) throw WireError("string field truncated");
-  std::string s(reinterpret_cast<const char*>(data_ + pos_), len);
+  s.assign(reinterpret_cast<const char*>(data_ + pos_), len);
   pos_ += len;
-  return s;
 }
 
-Vec WireReader::VecField() {
-  const uint8_t dim = U8();
+void WireReader::VecField(Vec& v) {
+  uint8_t dim = 0;
+  U8(dim);
   if (dim > kMaxDim) {
     throw WireError("vector dimension " + std::to_string(dim) +
                     " exceeds kMaxDim");
   }
-  Vec v(dim);
-  for (int i = 0; i < dim; ++i) v.v[i] = F64();
-  return v;
+  v = Vec(dim);
+  for (int i = 0; i < dim; ++i) F64(v.v[i]);
 }
 
 uint32_t WireReader::Count(size_t min_elem_size) {
-  const uint32_t n = U32();
-  if (min_elem_size > 0 && remaining() / min_elem_size < n) {
-    throw WireError("repeated section count " + std::to_string(n) +
+  uint32_t count = 0;
+  U32(count);
+  if (min_elem_size > 0 && remaining() / min_elem_size < count) {
+    throw WireError("repeated section count " + std::to_string(count) +
                     " cannot fit in remaining payload");
   }
-  return n;
+  return count;
 }
 
 void WireReader::ExpectEnd() const {
@@ -213,7 +160,9 @@ void WireReader::ExpectEnd() const {
 }
 
 // ---------------------------------------------------------------------------
-// Message payloads
+// Walks: one per payload and per repeated element, each naming its fields
+// in wire order. The same walk encodes (Io = WireWriter, which only reads
+// the fields) and decodes (Io = WireReader, which assigns them).
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -223,227 +172,132 @@ namespace {
 constexpr size_t kMinCandidateSize = 4 + 1;
 constexpr size_t kMinInsertSize = 4 + 1;
 constexpr size_t kMinSkybandChangeSize = 4 + 4;  // k + count
-
-void EncodeCandidate(WireWriter& w, const Candidate& c) {
-  w.I32(c.global_id);
-  w.VecField(c.value);
-}
-
-Candidate DecodeCandidate(WireReader& r) {
-  Candidate c;
-  c.global_id = r.I32();
-  c.value = r.VecField();
-  return c;
-}
+constexpr size_t kMinI32Size = 4;
 
 }  // namespace
 
-std::vector<uint8_t> Encode(const CandidateRequest& m) {
+template <class Io>
+void Walk(Io& io, int32_t& v) {  // RecordId and k elements
+  io.I32(v);
+}
+
+template <class Io>
+void Walk(Io& io, Candidate& m) {
+  io.I32(m.global_id);
+  io.VecField(m.value);
+}
+
+template <class Io>
+void Walk(Io& io, ShardInsert& m) {
+  io.I32(m.global_id);
+  io.VecField(m.value);
+}
+
+template <class Io>
+void Walk(Io& io, SkybandChange& m) {
+  io.I32(m.k);
+  io.Seq(m.changed, kMinCandidateSize);
+}
+
+template <class Io>
+void Walk(Io& io, CandidateRequest& m) {
+  io.I32(m.k);
+}
+
+template <class Io>
+void Walk(Io& io, CandidateResponse& m) {
+  io.U64(m.shard_version);
+  io.Bool(m.from_cache);
+  io.Seq(m.candidates, kMinCandidateSize);
+}
+
+template <class Io>
+void Walk(Io& io, ShardUpdateRequest& m) {
+  io.U64(m.batch_seq);
+  io.Seq(m.inserts, kMinInsertSize);
+  io.Seq(m.delete_global_ids, kMinI32Size);
+  io.Seq(m.skyband_ks, kMinI32Size);
+}
+
+template <class Io>
+void Walk(Io& io, ShardUpdateResponse& m) {
+  io.U64(m.shard_version);
+  io.U64(m.inserts_applied);
+  io.U64(m.deletes_applied);
+  io.Seq(m.skyband_changes, kMinSkybandChangeSize);
+}
+
+template <class Io>
+void Walk(Io& io, GetRecordRequest& m) {
+  io.I32(m.global_id);
+}
+
+template <class Io>
+void Walk(Io& io, RecordResponse& m) {
+  io.Bool(m.known);
+  io.Bool(m.live);
+  io.VecField(m.value);
+}
+
+template <class Io>
+void Walk(Io&, InfoRequest&) {}
+
+template <class Io>
+void Walk(Io& io, ShardInfo& m) {  // `reachable` is router-side only
+  io.U64(m.shard_version);
+  io.I32(m.records_total);
+  io.I32(m.records_live);
+}
+
+template <class Io>
+void Walk(Io& io, SaveSnapshotRequest& m) {
+  io.Str(m.path);
+}
+
+template <class Io>
+void Walk(Io& io, SaveSnapshotResponse& m) {
+  io.Bool(m.ok);
+  io.Str(m.error);
+}
+
+template <class Io>
+void Walk(Io& io, ErrorBody& m) {
+  io.Str(m.message);
+}
+
+template <class T>
+void WireWriter::Seq(const std::vector<T>& items, size_t /*min_elem_size*/) {
+  U32(static_cast<uint32_t>(items.size()));
+  for (const T& item : items) Walk(*this, const_cast<T&>(item));
+}
+
+template <class T>
+void WireReader::Seq(std::vector<T>& items, size_t min_elem_size) {
+  items.resize(Count(min_elem_size));
+  for (T& item : items) Walk(*this, item);
+}
+
+template <class M>
+std::vector<uint8_t> Encode(const M& m) {
   WireWriter w;
-  w.I32(m.k);
+  Walk(w, const_cast<M&>(m));  // a writer only reads the fields
   return w.Take();
 }
 
-CandidateRequest DecodeCandidateRequest(const uint8_t* data, size_t size) {
+template <class M>
+M Decode(const uint8_t* data, size_t size) {
   WireReader r(data, size);
-  CandidateRequest m;
-  m.k = r.I32();
+  M m;
+  Walk(r, m);
   r.ExpectEnd();
   return m;
 }
 
-std::vector<uint8_t> Encode(const CandidateResponse& m) {
-  WireWriter w;
-  w.U64(m.shard_version);
-  w.U8(m.from_cache ? 1 : 0);
-  w.U32(static_cast<uint32_t>(m.candidates.size()));
-  for (const Candidate& c : m.candidates) EncodeCandidate(w, c);
-  return w.Take();
-}
-
-CandidateResponse DecodeCandidateResponse(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  CandidateResponse m;
-  m.shard_version = r.U64();
-  m.from_cache = r.U8() != 0;
-  const uint32_t n = r.Count(kMinCandidateSize);
-  m.candidates.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) m.candidates.push_back(DecodeCandidate(r));
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> Encode(const ShardUpdateRequest& m) {
-  WireWriter w;
-  w.U64(m.batch_seq);
-  w.U32(static_cast<uint32_t>(m.inserts.size()));
-  for (const ShardInsert& ins : m.inserts) {
-    w.I32(ins.global_id);
-    w.VecField(ins.value);
-  }
-  w.U32(static_cast<uint32_t>(m.delete_global_ids.size()));
-  for (RecordId id : m.delete_global_ids) w.I32(id);
-  w.U32(static_cast<uint32_t>(m.skyband_ks.size()));
-  for (int k : m.skyband_ks) w.I32(k);
-  return w.Take();
-}
-
-ShardUpdateRequest DecodeShardUpdateRequest(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  ShardUpdateRequest m;
-  m.batch_seq = r.U64();
-  const uint32_t inserts = r.Count(kMinInsertSize);
-  m.inserts.reserve(inserts);
-  for (uint32_t i = 0; i < inserts; ++i) {
-    ShardInsert ins;
-    ins.global_id = r.I32();
-    ins.value = r.VecField();
-    m.inserts.push_back(ins);
-  }
-  const uint32_t deletes = r.Count(4);
-  m.delete_global_ids.reserve(deletes);
-  for (uint32_t i = 0; i < deletes; ++i) m.delete_global_ids.push_back(r.I32());
-  const uint32_t ks = r.Count(4);
-  m.skyband_ks.reserve(ks);
-  for (uint32_t i = 0; i < ks; ++i) m.skyband_ks.push_back(r.I32());
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> Encode(const ShardUpdateResponse& m) {
-  WireWriter w;
-  w.U64(m.shard_version);
-  w.U64(static_cast<uint64_t>(m.inserts_applied));
-  w.U64(static_cast<uint64_t>(m.deletes_applied));
-  w.U32(static_cast<uint32_t>(m.skyband_changes.size()));
-  for (const SkybandChange& sc : m.skyband_changes) {
-    w.I32(sc.k);
-    w.U32(static_cast<uint32_t>(sc.changed.size()));
-    for (const Candidate& c : sc.changed) EncodeCandidate(w, c);
-  }
-  return w.Take();
-}
-
-ShardUpdateResponse DecodeShardUpdateResponse(const uint8_t* data,
-                                              size_t size) {
-  WireReader r(data, size);
-  ShardUpdateResponse m;
-  m.shard_version = r.U64();
-  m.inserts_applied = static_cast<size_t>(r.U64());
-  m.deletes_applied = static_cast<size_t>(r.U64());
-  const uint32_t changes = r.Count(kMinSkybandChangeSize);
-  m.skyband_changes.reserve(changes);
-  for (uint32_t i = 0; i < changes; ++i) {
-    SkybandChange sc;
-    sc.k = r.I32();
-    const uint32_t n = r.Count(kMinCandidateSize);
-    sc.changed.reserve(n);
-    for (uint32_t j = 0; j < n; ++j) sc.changed.push_back(DecodeCandidate(r));
-    m.skyband_changes.push_back(std::move(sc));
-  }
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> EncodeGetRecordRequest(RecordId global_id) {
-  WireWriter w;
-  w.I32(global_id);
-  return w.Take();
-}
-
-RecordId DecodeGetRecordRequest(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  const RecordId id = r.I32();
-  r.ExpectEnd();
-  return id;
-}
-
-std::vector<uint8_t> Encode(const RecordResponse& m) {
-  WireWriter w;
-  w.U8(m.known ? 1 : 0);
-  w.U8(m.live ? 1 : 0);
-  w.VecField(m.value);
-  return w.Take();
-}
-
-RecordResponse DecodeRecordResponse(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  RecordResponse m;
-  m.known = r.U8() != 0;
-  m.live = r.U8() != 0;
-  m.value = r.VecField();
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> EncodeInfoRequest() { return {}; }
-
-void DecodeInfoRequest(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  r.ExpectEnd();
-}
-
-std::vector<uint8_t> Encode(const ShardInfo& m) {
-  WireWriter w;
-  w.U64(m.shard_version);
-  w.I32(m.records_total);
-  w.I32(m.records_live);
-  return w.Take();
-}
-
-ShardInfo DecodeShardInfo(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  ShardInfo m;
-  m.shard_version = r.U64();
-  m.records_total = r.I32();
-  m.records_live = r.I32();
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> EncodeSaveSnapshotRequest(const std::string& path) {
-  WireWriter w;
-  w.Str(path);
-  return w.Take();
-}
-
-std::string DecodeSaveSnapshotRequest(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  std::string path = r.Str();
-  r.ExpectEnd();
-  return path;
-}
-
-std::vector<uint8_t> Encode(const SaveSnapshotResponse& m) {
-  WireWriter w;
-  w.U8(m.ok ? 1 : 0);
-  w.Str(m.error);
-  return w.Take();
-}
-
-SaveSnapshotResponse DecodeSaveSnapshotResponse(const uint8_t* data,
-                                                size_t size) {
-  WireReader r(data, size);
-  SaveSnapshotResponse m;
-  m.ok = r.U8() != 0;
-  m.error = r.Str();
-  r.ExpectEnd();
-  return m;
-}
-
-std::vector<uint8_t> Encode(const ErrorBody& m) {
-  WireWriter w;
-  w.Str(m.message);
-  return w.Take();
-}
-
-ErrorBody DecodeErrorBody(const uint8_t* data, size_t size) {
-  WireReader r(data, size);
-  ErrorBody m;
-  m.message = r.Str();
-  r.ExpectEnd();
-  return m;
-}
+#define KSPR_WIRE_INSTANTIATE(name, code, text, Payload)           \
+  template std::vector<uint8_t> Encode<Payload>(const Payload&);  \
+  template Payload Decode<Payload>(const uint8_t*, size_t);
+KSPR_WIRE_MESSAGES(KSPR_WIRE_INSTANTIATE)
+#undef KSPR_WIRE_INSTANTIATE
 
 }  // namespace net
 }  // namespace kspr

@@ -15,12 +15,17 @@
 //   28      ...   payload    message-specific little-endian encoding
 //
 // All integers are little-endian; doubles travel as their IEEE-754 bit
-// pattern (memcpy to uint64_t), so values survive the wire BITWISE — the
+// pattern (bit_cast to uint64_t), so values survive the wire BITWISE — the
 // sharded tier's bitwise-identity gates hold over real sockets for exactly
 // this reason. A frame is rejected (WireError) when the magic, version,
 // declared size or checksum does not hold; a rejected frame means the
 // stream can no longer be trusted and the connection must be dropped
 // (resynchronising inside a byte stream is not attempted).
+//
+// Each message is declared once: a row of KSPR_WIRE_MESSAGES names its
+// type code and payload struct, and one Walk over the payload (wire.cc)
+// both encodes it (driven by WireWriter) and decodes it (driven by
+// WireReader), so the two directions cannot disagree on field order.
 //
 // The encoding is deliberately non-extensible per version: decoders check
 // that a payload is consumed EXACTLY, so truncated and padded payloads are
@@ -29,10 +34,11 @@
 #ifndef KSPR_NET_WIRE_H_
 #define KSPR_NET_WIRE_H_
 
+#include <bit>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/vec.h"
@@ -48,22 +54,72 @@ inline constexpr size_t kFrameHeaderSize = 28;
 /// larger is a protocol error, not a legitimate message.
 inline constexpr uint32_t kMaxFramePayload = 128u << 20;
 
+// Payload structs for the ShardTransport calls whose arguments or result
+// are not already one message struct (shard/shard_transport.h), and the
+// body of a kError reply.
+struct GetRecordRequest {
+  RecordId global_id = kInvalidRecord;
+};
+struct InfoRequest {};
+struct SaveSnapshotRequest {
+  std::string path;
+};
+struct SaveSnapshotResponse {
+  bool ok = false;
+  std::string error;
+};
+struct ErrorBody {
+  std::string message;
+};
+
+/// Every message: X(enumerator, type code, name, payload struct). Requests
+/// have odd codes and their response the next even one; kError answers a
+/// request the server could not serve.
+#define KSPR_WIRE_MESSAGES(X)                                               \
+  X(kCandidatesRequest, 1, "candidates-request", CandidateRequest)          \
+  X(kCandidatesResponse, 2, "candidates-response", CandidateResponse)       \
+  X(kApplyDeltaRequest, 3, "apply-delta-request", ShardUpdateRequest)       \
+  X(kApplyDeltaResponse, 4, "apply-delta-response", ShardUpdateResponse)    \
+  X(kGetRecordRequest, 5, "get-record-request", GetRecordRequest)           \
+  X(kGetRecordResponse, 6, "get-record-response", RecordResponse)           \
+  X(kInfoRequest, 7, "info-request", InfoRequest)                           \
+  X(kInfoResponse, 8, "info-response", ShardInfo)                           \
+  X(kSaveSnapshotRequest, 9, "save-snapshot-request", SaveSnapshotRequest)  \
+  X(kSaveSnapshotResponse, 10, "save-snapshot-response",                    \
+    SaveSnapshotResponse)                                                   \
+  X(kError, 100, "error", ErrorBody)
+
 enum class MessageType : uint16_t {
-  kCandidatesRequest = 1,
-  kCandidatesResponse = 2,
-  kApplyDeltaRequest = 3,
-  kApplyDeltaResponse = 4,
-  kGetRecordRequest = 5,
-  kGetRecordResponse = 6,
-  kInfoRequest = 7,
-  kInfoResponse = 8,
-  kSaveSnapshotRequest = 9,
-  kSaveSnapshotResponse = 10,
-  /// Server-side handler failure; payload is an ErrorBody.
-  kError = 100,
+#define KSPR_WIRE_ENUMERATOR(name, code, text, Payload) name = (code),
+  KSPR_WIRE_MESSAGES(KSPR_WIRE_ENUMERATOR)
+#undef KSPR_WIRE_ENUMERATOR
 };
 
 const char* ToString(MessageType type);
+
+/// MessageTypeOf<M>::value is the type code that carries payload M.
+template <class M>
+struct MessageTypeOf;
+#define KSPR_WIRE_TYPE_OF(name, code, text, Payload)      \
+  template <>                                             \
+  struct MessageTypeOf<Payload> {                         \
+    static constexpr MessageType value = MessageType::name; \
+  };
+KSPR_WIRE_MESSAGES(KSPR_WIRE_TYPE_OF)
+#undef KSPR_WIRE_TYPE_OF
+
+/// Calls `visit(std::type_identity<M>{})` with the payload struct M of
+/// `type`.
+template <class Visit>
+void VisitPayloadType(MessageType type, Visit&& visit) {
+  switch (type) {
+#define KSPR_WIRE_VISIT(name, code, text, Payload) \
+  case MessageType::name:                          \
+    return visit(std::type_identity<Payload>{});
+    KSPR_WIRE_MESSAGES(KSPR_WIRE_VISIT)
+#undef KSPR_WIRE_VISIT
+  }
+}
 
 /// Thrown on any malformed frame or payload. The connection that produced
 /// it must be considered poisoned and closed.
@@ -89,14 +145,16 @@ std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t seq,
 
 /// Parses and validates the fixed-size header (`buf` must hold
 /// kFrameHeaderSize bytes). Throws WireError on bad magic / version /
-/// oversized payload declaration.
+/// unknown type / oversized payload declaration.
 FrameHeader DecodeFrameHeader(const uint8_t* buf);
 
 /// Validates `header.checksum` against the actual payload bytes.
 void VerifyPayload(const FrameHeader& header, const uint8_t* payload);
 
 // ---------------------------------------------------------------------------
-// Payload building blocks
+// Payload building blocks. A Walk names each field once, as a call on the
+// writer or reader that drives it: the writer takes fields by value, the
+// reader fills them by reference.
 // ---------------------------------------------------------------------------
 
 /// Append-only little-endian encoder.
@@ -107,15 +165,19 @@ class WireWriter {
   void U32(uint32_t v) { AppendLe(v); }
   void U64(uint64_t v) { AppendLe(v); }
   void I32(int32_t v) { AppendLe(static_cast<uint32_t>(v)); }
-  void I64(int64_t v) { AppendLe(static_cast<uint64_t>(v)); }
+  void Bool(bool v) { U8(v ? 1 : 0); }
   /// IEEE-754 bit pattern — bitwise-exact round trip.
-  void F64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    AppendLe(bits);
-  }
+  void F64(double v) { AppendLe(std::bit_cast<uint64_t>(v)); }
   void Str(const std::string& s);
   void VecField(const Vec& v);
+  /// Raw bytes, no length prefix (a frame's payload after its header).
+  void Bytes(const std::vector<uint8_t>& bytes) {
+    buf_.insert(buf_.end(), bytes.begin(), bytes.end());
+  }
+  /// A repeated section: a U32 count, then each element's Walk.
+  /// `min_elem_size` is the reader's bound; the writer ignores it.
+  template <class T>
+  void Seq(const std::vector<T>& items, size_t min_elem_size);
 
   const std::vector<uint8_t>& bytes() const { return buf_; }
   std::vector<uint8_t> Take() { return std::move(buf_); }
@@ -136,32 +198,28 @@ class WireReader {
  public:
   WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
 
-  uint8_t U8();
-  uint16_t U16() { return static_cast<uint16_t>(ReadLe(2)); }
-  uint32_t U32() { return static_cast<uint32_t>(ReadLe(4)); }
-  uint64_t U64() { return ReadLe(8); }
-  int32_t I32() { return static_cast<int32_t>(U32()); }
-  int64_t I64() { return static_cast<int64_t>(U64()); }
-  double F64() {
-    const uint64_t bits = U64();
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
-  std::string Str();
-  Vec VecField();
+  void U8(uint8_t& v) { v = static_cast<uint8_t>(ReadLe(1)); }
+  void U16(uint16_t& v) { v = static_cast<uint16_t>(ReadLe(2)); }
+  void U32(uint32_t& v) { v = static_cast<uint32_t>(ReadLe(4)); }
+  void U64(uint64_t& v) { v = ReadLe(8); }
+  void I32(int32_t& v) { v = static_cast<int32_t>(ReadLe(4)); }
+  void Bool(bool& v) { v = ReadLe(1) != 0; }
+  void F64(double& v) { v = std::bit_cast<double>(ReadLe(8)); }
+  void Str(std::string& s);
+  void VecField(Vec& v);
+  /// A repeated section. Its count is read through Count(min_elem_size):
+  /// each element encodes to at least `min_elem_size` bytes, so a count
+  /// that could not fit in the remaining payload is rejected before any
+  /// allocation (cheap DoS/corruption guard).
+  template <class T>
+  void Seq(std::vector<T>& items, size_t min_elem_size);
 
-  /// A count prefix for a repeated section; rejects values that could not
-  /// possibly fit in the remaining payload (cheap DoS/corruption guard:
-  /// each element of a repeated section encodes to >= `min_elem_size`
-  /// bytes).
-  uint32_t Count(size_t min_elem_size);
-
-  size_t remaining() const { return size_ - pos_; }
   /// Decoders call this last: trailing bytes are a protocol error.
   void ExpectEnd() const;
 
  private:
+  size_t remaining() const { return size_ - pos_; }
+  uint32_t Count(size_t min_elem_size);
   uint64_t ReadLe(size_t n);
   const uint8_t* data_;
   size_t size_;
@@ -169,42 +227,20 @@ class WireReader {
 };
 
 // ---------------------------------------------------------------------------
-// Message payload encodings (one pair per ShardTransport method)
+// Message payloads: any payload struct of KSPR_WIRE_MESSAGES. Decode
+// rejects malformed, truncated and padded payloads with WireError.
 // ---------------------------------------------------------------------------
 
-struct ErrorBody {
-  std::string message;
-};
+template <class M>
+std::vector<uint8_t> Encode(const M& m);
+template <class M>
+M Decode(const uint8_t* data, size_t size);
 
-std::vector<uint8_t> Encode(const CandidateRequest& m);
-std::vector<uint8_t> Encode(const CandidateResponse& m);
-std::vector<uint8_t> Encode(const ShardUpdateRequest& m);
-std::vector<uint8_t> Encode(const ShardUpdateResponse& m);
-std::vector<uint8_t> EncodeGetRecordRequest(RecordId global_id);
-std::vector<uint8_t> Encode(const RecordResponse& m);
-std::vector<uint8_t> EncodeInfoRequest();
-std::vector<uint8_t> Encode(const ShardInfo& m);
-std::vector<uint8_t> EncodeSaveSnapshotRequest(const std::string& path);
-struct SaveSnapshotResponse {
-  bool ok = false;
-  std::string error;
-};
-std::vector<uint8_t> Encode(const SaveSnapshotResponse& m);
-std::vector<uint8_t> Encode(const ErrorBody& m);
-
-CandidateRequest DecodeCandidateRequest(const uint8_t* data, size_t size);
-CandidateResponse DecodeCandidateResponse(const uint8_t* data, size_t size);
-ShardUpdateRequest DecodeShardUpdateRequest(const uint8_t* data, size_t size);
-ShardUpdateResponse DecodeShardUpdateResponse(const uint8_t* data,
-                                              size_t size);
-RecordId DecodeGetRecordRequest(const uint8_t* data, size_t size);
-RecordResponse DecodeRecordResponse(const uint8_t* data, size_t size);
-void DecodeInfoRequest(const uint8_t* data, size_t size);
-ShardInfo DecodeShardInfo(const uint8_t* data, size_t size);
-std::string DecodeSaveSnapshotRequest(const uint8_t* data, size_t size);
-SaveSnapshotResponse DecodeSaveSnapshotResponse(const uint8_t* data,
-                                                size_t size);
-ErrorBody DecodeErrorBody(const uint8_t* data, size_t size);
+/// Decode<CandidateResponse> under the name the benchmark harness calls.
+inline CandidateResponse DecodeCandidateResponse(const uint8_t* data,
+                                                 size_t size) {
+  return Decode<CandidateResponse>(data, size);
+}
 
 }  // namespace net
 }  // namespace kspr

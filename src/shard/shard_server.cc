@@ -9,6 +9,41 @@ namespace kspr {
 namespace {
 /// Accept-poll slice; bounds how long Stop() waits on the accept thread.
 constexpr int kAcceptPollMs = 50;
+
+// One row per request type: how the worker answers it. The reply's
+// payload struct picks the response's MessageType.
+CandidateResponse Answer(ShardWorker& worker, const CandidateRequest& request) {
+  return worker.Candidates(request);
+}
+ShardUpdateResponse Answer(ShardWorker& worker,
+                           const ShardUpdateRequest& request) {
+  return worker.ApplyDelta(request);
+}
+RecordResponse Answer(ShardWorker& worker,
+                      const net::GetRecordRequest& request) {
+  return worker.GetRecord(request.global_id);
+}
+ShardInfo Answer(ShardWorker& worker, const net::InfoRequest&) {
+  return worker.Info();
+}
+net::SaveSnapshotResponse Answer(ShardWorker& worker,
+                                 const net::SaveSnapshotRequest& request) {
+  net::SaveSnapshotResponse response;
+  response.ok = worker.SaveSnapshot(request.path);
+  if (!response.ok) response.error = "snapshot save failed at " + request.path;
+  return response;
+}
+
+struct Reply {
+  net::MessageType type = net::MessageType::kError;
+  std::vector<uint8_t> payload;
+};
+
+template <class M>
+Reply ReplyWith(const M& m) {
+  return {net::MessageTypeOf<M>::value, net::Encode(m)};
+}
+
 }  // namespace
 
 ShardServer::ShardServer(ShardWorker* worker) : worker_(worker) {
@@ -21,26 +56,27 @@ void ShardServer::Stop() {
   if (stop_.exchange(true)) return;
   if (accept_thread_.joinable()) accept_thread_.join();
   listener_.Close();
-  std::vector<std::thread> handlers;
-  {
-    MutexLock lock(&handlers_mu_);
-    handlers.swap(handlers_);
-  }
   // Handlers notice stop_ at their next poll slice (RecvAll runs under a
   // short deadline loop in ServeConnection).
-  for (std::thread& t : handlers) {
-    if (t.joinable()) t.join();
-  }
+  for (Handler& handler : handlers_) handler.thread.join();
+  handlers_.clear();
 }
 
 void ShardServer::AcceptLoop() {
   while (!stop_.load(std::memory_order_relaxed)) {
+    handlers_.remove_if([](Handler& handler) {
+      if (!handler.done.load(std::memory_order_acquire)) return false;
+      handler.thread.join();
+      return true;
+    });
     net::Socket conn = listener_.Accept(kAcceptPollMs);
     if (!conn.valid()) continue;
-    MutexLock lock(&handlers_mu_);
-    if (stop_.load(std::memory_order_relaxed)) return;
-    handlers_.emplace_back(
-        [this, c = std::move(conn)]() mutable { ServeConnection(std::move(c)); });
+    Handler& handler = handlers_.emplace_back();
+    handler.thread =
+        std::thread([this, &handler, c = std::move(conn)]() mutable {
+          ServeConnection(std::move(c));
+          handler.done.store(true, std::memory_order_release);
+        });
   }
 }
 
@@ -72,71 +108,36 @@ void ShardServer::ServeConnection(net::Socket conn) {
       return;
     }
 
-    net::MessageType response_type = net::MessageType::kError;
-    std::vector<uint8_t> response_payload;
+    Reply reply;
+    bool answered = true;
     try {
       MutexLock lock(&worker_mu_);
-      switch (request.type) {
-        case net::MessageType::kCandidatesRequest: {
-          const CandidateRequest req =
-              net::DecodeCandidateRequest(payload.data(), payload.size());
-          response_payload = net::Encode(worker_->Candidates(req));
-          response_type = net::MessageType::kCandidatesResponse;
-          break;
+      ShardWorker& worker = *worker_;
+      net::VisitPayloadType(request.type, [&](auto payload_type) {
+        using Request = typename decltype(payload_type)::type;
+        if constexpr (requires(ShardWorker& w, const Request& r) {
+                        Answer(w, r);
+                      }) {
+          reply = ReplyWith(Answer(
+              worker, net::Decode<Request>(payload.data(), payload.size())));
+        } else {
+          answered = false;
         }
-        case net::MessageType::kApplyDeltaRequest: {
-          const ShardUpdateRequest req =
-              net::DecodeShardUpdateRequest(payload.data(), payload.size());
-          response_payload = net::Encode(worker_->ApplyDelta(req));
-          response_type = net::MessageType::kApplyDeltaResponse;
-          break;
-        }
-        case net::MessageType::kGetRecordRequest: {
-          const RecordId id =
-              net::DecodeGetRecordRequest(payload.data(), payload.size());
-          response_payload = net::Encode(worker_->GetRecord(id));
-          response_type = net::MessageType::kGetRecordResponse;
-          break;
-        }
-        case net::MessageType::kInfoRequest: {
-          net::DecodeInfoRequest(payload.data(), payload.size());
-          response_payload = net::Encode(worker_->Info());
-          response_type = net::MessageType::kInfoResponse;
-          break;
-        }
-        case net::MessageType::kSaveSnapshotRequest: {
-          const std::string path =
-              net::DecodeSaveSnapshotRequest(payload.data(), payload.size());
-          net::SaveSnapshotResponse resp;
-          resp.ok = worker_->SaveSnapshot(path);
-          if (!resp.ok) resp.error = "snapshot save failed at " + path;
-          response_payload = net::Encode(resp);
-          response_type = net::MessageType::kSaveSnapshotResponse;
-          break;
-        }
-        default: {
-          // A known frame type that is not a request (a client echoing a
-          // response at us) poisons the stream.
-          return;
-        }
-      }
+      });
     } catch (const net::WireError&) {
       // Structurally valid frame, semantically unreadable payload: the
       // stream alignment is fine but the request is garbage — report it.
-      net::ErrorBody err;
-      err.message = "malformed request payload";
-      response_payload = net::Encode(err);
-      response_type = net::MessageType::kError;
+      reply = ReplyWith(net::ErrorBody{"malformed request payload"});
     } catch (const std::exception& e) {
-      net::ErrorBody err;
-      err.message = e.what();
-      response_payload = net::Encode(err);
-      response_type = net::MessageType::kError;
+      reply = ReplyWith(net::ErrorBody{e.what()});
     }
+    // A known frame type that is not a request (a client echoing a
+    // response at us) poisons the stream.
+    if (!answered) return;
 
     try {
       const std::vector<uint8_t> frame =
-          net::EncodeFrame(response_type, request.seq, response_payload);
+          net::EncodeFrame(reply.type, request.seq, reply.payload);
       conn.SendAll(frame.data(), frame.size(),
                    std::chrono::steady_clock::now() + std::chrono::seconds(30));
     } catch (const std::exception&) {

@@ -1,7 +1,9 @@
 // A TCP frame server exposing one ShardWorker to SocketShardTransport.
 //
 // One ShardServer wraps one worker: an accept loop hands each connection
-// to its own handler thread; handlers read request frames, dispatch to
+// to its own handler thread, and joins that thread once its client has
+// gone (a reconnect costs no lingering thread); handlers read request
+// frames, dispatch to
 // the worker under a per-worker mutex (the socket equivalent of
 // LocalShardTransport's per-shard FIFO queue — the worker itself is not
 // internally synchronised), and write back a response frame echoing the
@@ -22,9 +24,9 @@
 #define KSPR_SHARD_SHARD_SERVER_H_
 
 #include <atomic>
+#include <list>
 #include <memory>
 #include <thread>
-#include <vector>
 
 #include "common/sync.h"
 #include "net/socket.h"
@@ -58,9 +60,17 @@ class ShardServer {
   ShardWorker* worker_ KSPR_PT_GUARDED_BY(worker_mu_);
   net::Listener listener_;
   std::atomic<bool> stop_{false};
+
+  /// One connection thread; `done` is set as its last act.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  /// Touched by the accept thread only, until Stop has joined it. A list,
+  /// so a running handler's `done` never moves; the accept loop joins and
+  /// erases finished handlers, Stop joins the rest.
+  std::list<Handler> handlers_;
   std::thread accept_thread_;
-  Mutex handlers_mu_;
-  std::vector<std::thread> handlers_ KSPR_GUARDED_BY(handlers_mu_);
 };
 
 }  // namespace kspr

@@ -29,14 +29,23 @@ SocketShardTransport::SocketShardTransport(std::vector<uint16_t> ports,
   }
 }
 
-template <typename Fn>
-auto SocketShardTransport::Enqueue(size_t shard_index, Fn fn)
-    -> std::future<decltype(fn())> {
-  using Result = decltype(fn());
+template <class Reply, class Request, class Finish>
+auto SocketShardTransport::Call(size_t shard_index, Request request,
+                                Finish finish)
+    -> std::future<std::decay_t<std::invoke_result_t<Finish, Reply>>> {
+  using Result = std::decay_t<std::invoke_result_t<Finish, Reply>>;
   assert(shard_index < shards_.size());
-  auto task = std::make_shared<std::packaged_task<Result()>>(std::move(fn));
+  Shard* shard = shards_[shard_index].get();
+  auto task = std::make_shared<std::packaged_task<Result()>>(
+      [this, shard, request = std::move(request),
+       finish = std::move(finish)]() -> Result {
+        const std::vector<uint8_t> payload = RoundTrip(
+            *shard, net::MessageTypeOf<Request>::value, net::Encode(request),
+            net::MessageTypeOf<Reply>::value);
+        return finish(net::Decode<Reply>(payload.data(), payload.size()));
+      });
   std::future<Result> future = task->get_future();
-  shards_[shard_index]->queue.Post([task](int) { (*task)(); });
+  shard->queue.Post([task](int) { (*task)(); });
   return future;
 }
 
@@ -158,7 +167,7 @@ std::vector<uint8_t> SocketShardTransport::RoundTrip(
         // The worker received the request and failed deterministically;
         // retrying cannot help. Connection and stream stay healthy.
         const net::ErrorBody err =
-            net::DecodeErrorBody(payload.data(), payload.size());
+            net::Decode<net::ErrorBody>(payload.data(), payload.size());
         if (options_.stats) options_.stats->RecordFailure();
         throw TransportError(TransportErrorKind::kRemote, shard.index,
                              err.message);
@@ -185,59 +194,29 @@ std::vector<uint8_t> SocketShardTransport::RoundTrip(
 }
 
 std::future<CandidateResponse> SocketShardTransport::Candidates(
-    size_t shard_index, CandidateRequest request) {
-  Shard* shard = shards_[shard_index].get();
-  return Enqueue(shard_index, [this, shard, request] {
-    const std::vector<uint8_t> payload =
-        RoundTrip(*shard, net::MessageType::kCandidatesRequest,
-                  net::Encode(request), net::MessageType::kCandidatesResponse);
-    return net::DecodeCandidateResponse(payload.data(), payload.size());
-  });
+    size_t shard, CandidateRequest request) {
+  return Call<CandidateResponse>(shard, request);
 }
 
 std::future<ShardUpdateResponse> SocketShardTransport::ApplyDelta(
-    size_t shard_index, ShardUpdateRequest request) {
-  Shard* shard = shards_[shard_index].get();
-  return Enqueue(shard_index, [this, shard, request = std::move(request)] {
-    const std::vector<uint8_t> payload =
-        RoundTrip(*shard, net::MessageType::kApplyDeltaRequest,
-                  net::Encode(request), net::MessageType::kApplyDeltaResponse);
-    return net::DecodeShardUpdateResponse(payload.data(), payload.size());
-  });
+    size_t shard, ShardUpdateRequest request) {
+  return Call<ShardUpdateResponse>(shard, std::move(request));
 }
 
 std::future<RecordResponse> SocketShardTransport::GetRecord(
-    size_t shard_index, RecordId global_id) {
-  Shard* shard = shards_[shard_index].get();
-  return Enqueue(shard_index, [this, shard, global_id] {
-    const std::vector<uint8_t> payload = RoundTrip(
-        *shard, net::MessageType::kGetRecordRequest,
-        net::EncodeGetRecordRequest(global_id),
-        net::MessageType::kGetRecordResponse);
-    return net::DecodeRecordResponse(payload.data(), payload.size());
-  });
+    size_t shard, RecordId global_id) {
+  return Call<RecordResponse>(shard, net::GetRecordRequest{global_id});
 }
 
-std::future<ShardInfo> SocketShardTransport::Info(size_t shard_index) {
-  Shard* shard = shards_[shard_index].get();
-  return Enqueue(shard_index, [this, shard] {
-    const std::vector<uint8_t> payload =
-        RoundTrip(*shard, net::MessageType::kInfoRequest,
-                  net::EncodeInfoRequest(), net::MessageType::kInfoResponse);
-    return net::DecodeShardInfo(payload.data(), payload.size());
-  });
+std::future<ShardInfo> SocketShardTransport::Info(size_t shard) {
+  return Call<ShardInfo>(shard, net::InfoRequest{});
 }
 
-std::future<bool> SocketShardTransport::SaveSnapshot(size_t shard_index,
+std::future<bool> SocketShardTransport::SaveSnapshot(size_t shard,
                                                      std::string path) {
-  Shard* shard = shards_[shard_index].get();
-  return Enqueue(shard_index, [this, shard, path = std::move(path)] {
-    const std::vector<uint8_t> payload = RoundTrip(
-        *shard, net::MessageType::kSaveSnapshotRequest,
-        net::EncodeSaveSnapshotRequest(path),
-        net::MessageType::kSaveSnapshotResponse);
-    return net::DecodeSaveSnapshotResponse(payload.data(), payload.size()).ok;
-  });
+  return Call<net::SaveSnapshotResponse>(
+      shard, net::SaveSnapshotRequest{std::move(path)},
+      [](const net::SaveSnapshotResponse& response) { return response.ok; });
 }
 
 }  // namespace kspr

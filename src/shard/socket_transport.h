@@ -30,8 +30,10 @@
 #define KSPR_SHARD_SOCKET_TRANSPORT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -101,11 +103,16 @@ class SocketShardTransport : public ShardTransport {
     ThreadPool queue{1};
   };
 
-  template <typename Fn>
-  auto Enqueue(size_t shard, Fn fn) -> std::future<decltype(fn())>;
+  /// Every transport call: queues `request` on the shard's supervisor,
+  /// round-trips it, decodes the reply as Reply and fulfils the future
+  /// with `finish(reply)`.
+  template <class Reply, class Request, class Finish = std::identity>
+  auto Call(size_t shard, Request request, Finish finish = {})
+      -> std::future<std::decay_t<std::invoke_result_t<Finish, Reply>>>;
 
-  /// One logical operation: encode, attempt up to 1 + max_retries round
-  /// trips, decode. Throws TransportError after the budget is exhausted.
+  /// One logical operation's payload exchange: attempt up to
+  /// 1 + max_retries round trips. Throws TransportError after the budget
+  /// is exhausted.
   std::vector<uint8_t> RoundTrip(Shard& shard, net::MessageType request_type,
                                  const std::vector<uint8_t>& request_payload,
                                  net::MessageType expected_response);

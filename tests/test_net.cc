@@ -7,8 +7,9 @@
 //      denormals and negative zero must all survive), across a seeded
 //      property loop of randomised messages.
 //   2. Rejection — corrupted, truncated, oversized and trailing-garbage
-//      frames throw WireError rather than half-decode (a fuzz-style
-//      seeded loop flips every byte of real frames).
+//      frames throw WireError rather than half-decode; every payload of
+//      the message table is cut at every prefix and has every byte
+//      flipped.
 //   3. Golden bytes — one filled-in instance of every payload and one
 //      frame header encode to pinned version-1 bytes.
 
@@ -20,6 +21,7 @@
 #include <limits>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.h"
@@ -67,30 +69,42 @@ TEST(FrameTest, HeaderRoundTrip) {
   VerifyPayload(header, frame.data() + kFrameHeaderSize);  // no throw
 }
 
+// The WireError text DecodeFrameHeader throws for `frame`, or "" if none.
+std::string HeaderError(const std::vector<uint8_t>& frame) {
+  try {
+    DecodeFrameHeader(frame.data());
+  } catch (const WireError& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(FrameTest, RejectsBadMagicVersionTypeAndSize) {
   std::vector<uint8_t> frame = EncodeFrame(MessageType::kInfoRequest, 1, {});
+  EXPECT_EQ(HeaderError(frame), "");
   {
     std::vector<uint8_t> bad = frame;
     bad[0] ^= 0xFF;  // magic
-    EXPECT_THROW(DecodeFrameHeader(bad.data()), WireError);
+    EXPECT_EQ(HeaderError(bad), "bad frame magic 0x4b5350ad");
   }
   {
     std::vector<uint8_t> bad = frame;
     bad[4] = 0x7F;  // version
-    EXPECT_THROW(DecodeFrameHeader(bad.data()), WireError);
+    EXPECT_EQ(HeaderError(bad), "unsupported wire version 127");
   }
   {
     std::vector<uint8_t> bad = frame;
     bad[6] = 0xEE;  // unknown message type
     bad[7] = 0xEE;
-    EXPECT_THROW(DecodeFrameHeader(bad.data()), WireError);
+    EXPECT_EQ(HeaderError(bad), "unknown message type 61166");
   }
   {
     std::vector<uint8_t> bad = frame;
     // Declared payload size beyond kMaxFramePayload.
     const uint32_t huge = kMaxFramePayload + 1;
     std::memcpy(bad.data() + 16, &huge, sizeof(huge));
-    EXPECT_THROW(DecodeFrameHeader(bad.data()), WireError);
+    EXPECT_EQ(HeaderError(bad),
+              "declared payload of 134217729 bytes exceeds kMaxFramePayload");
   }
 }
 
@@ -242,7 +256,7 @@ TEST(GoldenBytesTest, ShardUpdateResponse) {
 }
 
 TEST(GoldenBytesTest, GetRecordRequest) {
-  EXPECT_EQ(Hex(EncodeGetRecordRequest(0x01020304)), "04030201");
+  EXPECT_EQ(Hex(Encode(GetRecordRequest{0x01020304})), "04030201");
 }
 
 TEST(GoldenBytesTest, RecordResponse) {
@@ -265,7 +279,7 @@ TEST(GoldenBytesTest, RecordResponse) {
 }
 
 TEST(GoldenBytesTest, InfoRequest) {
-  EXPECT_EQ(Hex(EncodeInfoRequest()), "");
+  EXPECT_EQ(Hex(Encode(InfoRequest{})), "");
 }
 
 TEST(GoldenBytesTest, ShardInfo) {
@@ -281,7 +295,7 @@ TEST(GoldenBytesTest, ShardInfo) {
 }
 
 TEST(GoldenBytesTest, SaveSnapshotRequest) {
-  EXPECT_EQ(Hex(EncodeSaveSnapshotRequest("/s/p.kspr")),
+  EXPECT_EQ(Hex(Encode(SaveSnapshotRequest{"/s/p.kspr"})),
             "09000000"           // length
             "2f732f702e6b737072");
 }
@@ -303,7 +317,7 @@ TEST(GoldenBytesTest, ErrorBody) {
 TEST(RoundTripTest, CandidateRequest) {
   for (int k : {0, 1, 7, 1 << 20}) {
     const std::vector<uint8_t> bytes = Encode(CandidateRequest{k});
-    EXPECT_EQ(DecodeCandidateRequest(bytes.data(), bytes.size()).k, k);
+    EXPECT_EQ(Decode<CandidateRequest>(bytes.data(), bytes.size()).k, k);
   }
 }
 
@@ -316,7 +330,7 @@ TEST(RoundTripTest, CandidateResponseProperty) {
     msg.candidates = RandomCandidates(rng, 1 + iter % kMaxDim, 20);
     const std::vector<uint8_t> bytes = Encode(msg);
     const CandidateResponse got =
-        DecodeCandidateResponse(bytes.data(), bytes.size());
+        Decode<CandidateResponse>(bytes.data(), bytes.size());
     EXPECT_EQ(got.shard_version, msg.shard_version);
     EXPECT_EQ(got.from_cache, msg.from_cache);
     ASSERT_EQ(got.candidates.size(), msg.candidates.size());
@@ -338,7 +352,7 @@ TEST(RoundTripTest, SpecialDoublesSurviveBitwise) {
   msg.candidates.push_back(c);
   const std::vector<uint8_t> bytes = Encode(msg);
   const CandidateResponse got =
-      DecodeCandidateResponse(bytes.data(), bytes.size());
+      Decode<CandidateResponse>(bytes.data(), bytes.size());
   ASSERT_EQ(got.candidates.size(), 1u);
   // memcmp, not ==: NaN payloads and signed zero must survive exactly.
   EXPECT_TRUE(BitwiseEqual(got.candidates[0].value, c.value));
@@ -367,7 +381,7 @@ TEST(RoundTripTest, ShardUpdateRequestProperty) {
     }
     const std::vector<uint8_t> bytes = Encode(msg);
     const ShardUpdateRequest got =
-        DecodeShardUpdateRequest(bytes.data(), bytes.size());
+        Decode<ShardUpdateRequest>(bytes.data(), bytes.size());
     EXPECT_EQ(got.batch_seq, msg.batch_seq);
     ASSERT_EQ(got.inserts.size(), msg.inserts.size());
     for (size_t i = 0; i < got.inserts.size(); ++i) {
@@ -395,7 +409,7 @@ TEST(RoundTripTest, ShardUpdateResponseProperty) {
     }
     const std::vector<uint8_t> bytes = Encode(msg);
     const ShardUpdateResponse got =
-        DecodeShardUpdateResponse(bytes.data(), bytes.size());
+        Decode<ShardUpdateResponse>(bytes.data(), bytes.size());
     EXPECT_EQ(got.shard_version, msg.shard_version);
     EXPECT_EQ(got.inserts_applied, msg.inserts_applied);
     EXPECT_EQ(got.deletes_applied, msg.deletes_applied);
@@ -413,8 +427,8 @@ TEST(RoundTripTest, ShardUpdateResponseProperty) {
 }
 
 TEST(RoundTripTest, GetRecordAndResponse) {
-  const std::vector<uint8_t> req = EncodeGetRecordRequest(12345);
-  EXPECT_EQ(DecodeGetRecordRequest(req.data(), req.size()), 12345);
+  const std::vector<uint8_t> req = Encode(GetRecordRequest{12345});
+  EXPECT_EQ(Decode<GetRecordRequest>(req.data(), req.size()).global_id, 12345);
 
   Rng rng(23);
   for (int iter = 0; iter < 20; ++iter) {
@@ -423,7 +437,7 @@ TEST(RoundTripTest, GetRecordAndResponse) {
     msg.live = msg.known && rng.UniformInt(2) == 1;
     msg.value = RandomVec(rng, 1 + iter % kMaxDim);
     const std::vector<uint8_t> bytes = Encode(msg);
-    const RecordResponse got = DecodeRecordResponse(bytes.data(), bytes.size());
+    const RecordResponse got = Decode<RecordResponse>(bytes.data(), bytes.size());
     EXPECT_EQ(got.known, msg.known);
     EXPECT_EQ(got.live, msg.live);
     EXPECT_TRUE(BitwiseEqual(got.value, msg.value));
@@ -431,16 +445,16 @@ TEST(RoundTripTest, GetRecordAndResponse) {
 }
 
 TEST(RoundTripTest, InfoPair) {
-  const std::vector<uint8_t> req = EncodeInfoRequest();
+  const std::vector<uint8_t> req = Encode(InfoRequest{});
   EXPECT_TRUE(req.empty());
-  DecodeInfoRequest(req.data(), req.size());  // no throw
+  Decode<InfoRequest>(req.data(), req.size());  // no throw
 
   ShardInfo msg;
   msg.shard_version = 99;
   msg.records_total = 1000;
   msg.records_live = 900;
   const std::vector<uint8_t> bytes = Encode(msg);
-  const ShardInfo got = DecodeShardInfo(bytes.data(), bytes.size());
+  const ShardInfo got = Decode<ShardInfo>(bytes.data(), bytes.size());
   EXPECT_EQ(got.shard_version, msg.shard_version);
   EXPECT_EQ(got.records_total, msg.records_total);
   EXPECT_EQ(got.records_live, msg.records_live);
@@ -449,45 +463,22 @@ TEST(RoundTripTest, InfoPair) {
 
 TEST(RoundTripTest, SaveSnapshotPairAndError) {
   const std::string path = "/tmp/some/snapshot.file";
-  const std::vector<uint8_t> req = EncodeSaveSnapshotRequest(path);
-  EXPECT_EQ(DecodeSaveSnapshotRequest(req.data(), req.size()), path);
+  const std::vector<uint8_t> req = Encode(SaveSnapshotRequest{path});
+  EXPECT_EQ(Decode<SaveSnapshotRequest>(req.data(), req.size()).path, path);
 
   SaveSnapshotResponse resp;
   resp.ok = false;
   resp.error = "disk full";
   const std::vector<uint8_t> bytes = Encode(resp);
   const SaveSnapshotResponse got =
-      DecodeSaveSnapshotResponse(bytes.data(), bytes.size());
+      Decode<SaveSnapshotResponse>(bytes.data(), bytes.size());
   EXPECT_EQ(got.ok, resp.ok);
   EXPECT_EQ(got.error, resp.error);
 
   ErrorBody err{"worker exploded"};
   const std::vector<uint8_t> err_bytes = Encode(err);
-  EXPECT_EQ(DecodeErrorBody(err_bytes.data(), err_bytes.size()).message,
+  EXPECT_EQ(Decode<ErrorBody>(err_bytes.data(), err_bytes.size()).message,
             err.message);
-}
-
-// Truncation at EVERY prefix length of a structured payload must throw,
-// never read out of bounds or half-succeed.
-TEST(RejectionTest, TruncatedPayloadsThrow) {
-  Rng rng(29);
-  ShardUpdateResponse msg;
-  msg.shard_version = 5;
-  SkybandChange change;
-  change.k = 2;
-  change.changed = RandomCandidates(rng, 5, 6);
-  msg.skyband_changes.push_back(change);
-  const std::vector<uint8_t> bytes = Encode(msg);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW(DecodeShardUpdateResponse(bytes.data(), len), WireError)
-        << "prefix of " << len << " bytes decoded";
-  }
-}
-
-TEST(RejectionTest, TrailingBytesThrow) {
-  std::vector<uint8_t> bytes = Encode(CandidateRequest{3});
-  bytes.push_back(0);
-  EXPECT_THROW(DecodeCandidateRequest(bytes.data(), bytes.size()), WireError);
 }
 
 TEST(RejectionTest, AbsurdCountsThrow) {
@@ -498,7 +489,7 @@ TEST(RejectionTest, AbsurdCountsThrow) {
   w.U8(0);             // from_cache
   w.U32(0xFFFFFFFFu);  // candidate count
   const std::vector<uint8_t> bytes = w.bytes();
-  EXPECT_THROW(DecodeCandidateResponse(bytes.data(), bytes.size()), WireError);
+  EXPECT_THROW(Decode<CandidateResponse>(bytes.data(), bytes.size()), WireError);
 }
 
 TEST(RejectionTest, BadVecDimThrows) {
@@ -507,37 +498,122 @@ TEST(RejectionTest, BadVecDimThrows) {
   w.U8(0);              // live
   w.U8(kMaxDim + 1);    // dim out of range
   const std::vector<uint8_t> bytes = w.bytes();
-  EXPECT_THROW(DecodeRecordResponse(bytes.data(), bytes.size()), WireError);
+  EXPECT_THROW(Decode<RecordResponse>(bytes.data(), bytes.size()), WireError);
 }
 
-// Fuzz-style: flip every byte of a valid structured payload and decode.
-// Any outcome is acceptable EXCEPT a crash/UB — most flips throw, some
-// produce a different valid message; the loop asserts decode never reads
-// out of bounds (ASan enforces) and never loops forever.
-TEST(RejectionTest, SeededByteFlipFuzz) {
+// ---------------------------------------------------------------------------
+// Every decoder of the message table, under truncation, padding and byte
+// flips. The typed suite runs over the table's payload structs; a table
+// row whose payload has no Sample below does not compile.
+// ---------------------------------------------------------------------------
+
+// Filled-in instances: every repeated section non-empty, so truncation and
+// flips reach each nested count, id, dim and double.
+CandidateRequest Sample(std::type_identity<CandidateRequest>) { return {7}; }
+CandidateResponse Sample(std::type_identity<CandidateResponse>) {
+  Rng rng(29);
+  CandidateResponse m;
+  m.shard_version = 5;
+  m.from_cache = true;
+  m.candidates = {{1, RandomVec(rng, 5)}, {2, RandomVec(rng, 2)}};
+  return m;
+}
+ShardUpdateRequest Sample(std::type_identity<ShardUpdateRequest>) {
   Rng rng(31);
-  ShardUpdateRequest msg;
-  msg.batch_seq = 9;
-  for (int i = 0; i < 4; ++i) {
-    msg.inserts.push_back({i, RandomVec(rng, 3)});
+  ShardUpdateRequest m;
+  m.batch_seq = 9;
+  for (RecordId i = 0; i < 4; ++i) m.inserts.push_back({i, RandomVec(rng, 3)});
+  m.delete_global_ids = {7, 8};
+  m.skyband_ks = {1, 2, 4};
+  return m;
+}
+ShardUpdateResponse Sample(std::type_identity<ShardUpdateResponse>) {
+  Rng rng(37);
+  ShardUpdateResponse m;
+  m.shard_version = 5;
+  m.inserts_applied = 4;
+  m.deletes_applied = 1;
+  m.skyband_changes = {{2, {{3, RandomVec(rng, 5)}, {4, RandomVec(rng, 5)}}},
+                       {3, {{6, RandomVec(rng, 5)}}}};
+  return m;
+}
+GetRecordRequest Sample(std::type_identity<GetRecordRequest>) {
+  return {12345};
+}
+RecordResponse Sample(std::type_identity<RecordResponse>) {
+  return {true, true, Vec{0.25, -0.0, 3.5, 1e-300}};
+}
+InfoRequest Sample(std::type_identity<InfoRequest>) { return {}; }
+ShardInfo Sample(std::type_identity<ShardInfo>) {
+  ShardInfo m;
+  m.shard_version = 99;
+  m.records_total = 1000;
+  m.records_live = 900;
+  return m;
+}
+SaveSnapshotRequest Sample(std::type_identity<SaveSnapshotRequest>) {
+  return {"/tmp/some/snapshot.file"};
+}
+SaveSnapshotResponse Sample(std::type_identity<SaveSnapshotResponse>) {
+  return {false, "disk full"};
+}
+ErrorBody Sample(std::type_identity<ErrorBody>) { return {"worker exploded"}; }
+
+// ::testing::Types over the payload column of KSPR_WIRE_MESSAGES (the
+// leading `void` absorbs the table's first comma).
+template <class Void, class... Payloads>
+struct TypesAfter {
+  using type = ::testing::Types<Payloads...>;
+};
+#define KSPR_TEST_PAYLOAD(name, code, text, Payload) , Payload
+using TablePayloads =
+    TypesAfter<void KSPR_WIRE_MESSAGES(KSPR_TEST_PAYLOAD)>::type;
+#undef KSPR_TEST_PAYLOAD
+
+template <class M>
+class PayloadRejectionTest : public ::testing::Test {
+ protected:
+  static std::vector<uint8_t> SampleBytes() {
+    return Encode(Sample(std::type_identity<M>{}));
   }
-  msg.delete_global_ids = {7, 8};
-  msg.skyband_ks = {1, 2, 4};
-  const std::vector<uint8_t> bytes = Encode(msg);
-  size_t throws = 0;
+};
+TYPED_TEST_SUITE(PayloadRejectionTest, TablePayloads);
+
+// Truncation at EVERY prefix length must throw, never read out of bounds
+// or half-succeed.
+TYPED_TEST(PayloadRejectionTest, EveryTruncationThrows) {
+  const std::vector<uint8_t> bytes = TestFixture::SampleBytes();
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    EXPECT_THROW(Decode<TypeParam>(bytes.data(), len), WireError)
+        << "prefix of " << len << " bytes decoded";
+  }
+}
+
+TYPED_TEST(PayloadRejectionTest, TrailingByteThrows) {
+  std::vector<uint8_t> bytes = TestFixture::SampleBytes();
+  bytes.push_back(0);
+  EXPECT_THROW(Decode<TypeParam>(bytes.data(), bytes.size()), WireError);
+}
+
+// Fuzz-style: flip every byte three ways and decode. A flip may throw
+// WireError or yield a different valid message — nothing else (ASan
+// checks that decode never reads out of bounds). A message that decodes
+// consumed the payload exactly, so it re-encodes to the same length.
+TYPED_TEST(PayloadRejectionTest, SeededByteFlipFuzz) {
+  const std::vector<uint8_t> bytes = TestFixture::SampleBytes();
   for (size_t i = 0; i < bytes.size(); ++i) {
     for (uint8_t flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
       std::vector<uint8_t> fuzzed = bytes;
       fuzzed[i] ^= flip;
       try {
-        (void)DecodeShardUpdateRequest(fuzzed.data(), fuzzed.size());
+        const TypeParam decoded =
+            Decode<TypeParam>(fuzzed.data(), fuzzed.size());
+        EXPECT_EQ(Encode(decoded).size(), fuzzed.size())
+            << "flip " << int{flip} << " at byte " << i;
       } catch (const WireError&) {
-        ++throws;
       }
     }
   }
-  // Sanity: the decoder is actually validating, not accepting everything.
-  EXPECT_GT(throws, 0u);
 }
 
 TEST(FaultScheduleTest, ParsesFullGrammar) {

@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <ostream>
@@ -1077,6 +1078,44 @@ TEST(ShardServerTest, TwoClientsAreSerialised) {
   std::sort(got.begin(), got.end());
   std::sort(want.begin(), want.end());
   EXPECT_EQ(got, want);
+}
+
+// VmSize of this process in MiB, or -1 where /proc/self/status is
+// unreadable.
+int64_t VmSizeMiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) {
+      return std::stoll(line.substr(7)) / 1024;  // reported in kB
+    }
+  }
+  return -1;
+}
+
+// Every client connection gets its own handler thread on the server. A
+// handler whose client has gone is joined while the server runs, not kept
+// until Stop: reconnects (fault-schedule disconnects, retries after
+// timeouts) would otherwise pin one exited thread's stack apiece, and a
+// long fault run would grow without bound. After a warm-up, 128 more
+// sequential clients must not add 128 thread stacks (8 MiB each under the
+// usual default) to the process.
+TEST(ShardServerTest, ClosedConnectionsReleaseTheirThreads) {
+  if (VmSizeMiB() < 0) GTEST_SKIP() << "/proc/self/status is unreadable";
+  const Dataset data = GenerateIndependent(40, 3, 67);
+  ShardWorker worker(0, ShardMap(1), data, ShardWorkerOptions{});
+  ShardServer server(&worker);
+  SocketTransportOptions socket;
+  socket.request_timeout_ms = 30000;  // generous under sanitizers
+  const auto one_client = [&] {
+    SocketShardTransport client({server.port()}, socket);
+    EXPECT_EQ(client.Info(0).get().records_live, data.size());
+  };
+  for (int i = 0; i < 64; ++i) one_client();
+  const int64_t before = VmSizeMiB();
+  for (int i = 0; i < 128; ++i) one_client();
+  EXPECT_LT(VmSizeMiB() - before, 64)
+      << "closed connections keep their handler threads";
 }
 
 // Default policy: a query that cannot cover every shard fails fast with
